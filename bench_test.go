@@ -537,31 +537,11 @@ func BenchmarkPredictProbsInto(b *testing.B) {
 }
 
 // BenchmarkServePredict measures single-client request latency through
-// the serving layer (queue hop + replica inference): 0 allocs/op warm.
+// the serving layer's one entry (deadline checks, cancellation
+// arbitration, queue hop and replica inference): 0 allocs/op warm.
 func BenchmarkServePredict(b *testing.B) {
 	env := getBenchEnv(b)
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
-	m, err := env.Model("ccnn", core.ErrorClassification, experiments.HomoInstance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := serve.NewPredictor(m, serve.Options{Replicas: 1})
-	defer p.Close()
-	p.PredictClass(q) // warm the request pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.PredictClass(q)
-	}
-}
-
-// BenchmarkServePredictCtx measures the context-aware request path
-// (deadline checks + cancellation arbitration on top of the queue hop
-// and replica inference): the warm in-deadline path is 0 allocs/op,
-// same as the legacy path.
-func BenchmarkServePredictCtx(b *testing.B) {
-	env := getBenchEnv(b)
-	q := "SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"
+	q := []string{"SELECT p.objid, p.ra FROM PhotoObj AS p WHERE p.ra BETWEEN 150 AND 152"}
 	m, err := env.Model("ccnn", core.ErrorClassification, experiments.HomoInstance)
 	if err != nil {
 		b.Fatal(err)
@@ -572,13 +552,14 @@ func BenchmarkServePredictCtx(b *testing.B) {
 	// serving path, not context construction.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	if _, err := p.PredictClassCtx(ctx, q); err != nil { // warm the request pool
+	res := make([]serve.Result, 1)
+	if err := p.Predict(ctx, q, res); err != nil { // warm the request pool
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.PredictClassCtx(ctx, q); err != nil {
+		if err := p.Predict(ctx, q, res); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -602,8 +583,9 @@ func BenchmarkServeThroughput(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
+					stmts, res := []string{q}, make([]serve.Result, 1)
 					for pb.Next() {
-						p.PredictClass(q)
+						p.Predict(context.Background(), stmts, res)
 					}
 				})
 				b.StopTimer()
@@ -613,12 +595,12 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictClassBatch measures the fused n-row forward pass
-// directly at the core layer — one PredictClassBatch call over a batch
-// of distinct statements, reported per statement — against which the
+// BenchmarkPredictBatch measures the fused n-row forward pass
+// directly at the core layer — one ProbsBatchInto call over a batch of
+// distinct statements, reported per statement — against which the
 // per-example path (BenchmarkPredictClass) shows the batching win
 // without any serving-layer overhead. Warm path is 0 allocs/op.
-func BenchmarkPredictClassBatch(b *testing.B) {
+func BenchmarkPredictBatch(b *testing.B) {
 	env := getBenchEnv(b)
 	stmts := make([]string, 16)
 	for i := range stmts {
@@ -630,11 +612,11 @@ func BenchmarkPredictClassBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			dst := m.PredictClassBatch(stmts, nil) // warm the batch scratch
+			dst := m.ProbsBatchInto(stmts, nil) // warm the batch scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = m.PredictClassBatch(stmts, dst)
+				dst = m.ProbsBatchInto(stmts, dst)
 			}
 			b.StopTimer()
 			nsPerStmt := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(stmts))
@@ -644,9 +626,9 @@ func BenchmarkPredictClassBatch(b *testing.B) {
 }
 
 // BenchmarkServeBatchedThroughput measures aggregate throughput with
-// 16 concurrent clients per core when replica workers fuse same-kind
-// queued requests into one n-row forward pass; maxbatch=1 disables
-// fusing and is the per-request baseline. eff-batch reports the
+// 16 concurrent clients per core when replica workers fuse queued
+// requests into one n-row forward pass; maxbatch=1 disables fusing
+// and is the per-request baseline. eff-batch reports the
 // completed-weighted mean fused width actually observed.
 func BenchmarkServeBatchedThroughput(b *testing.B) {
 	env := getBenchEnv(b)
@@ -664,8 +646,9 @@ func BenchmarkServeBatchedThroughput(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
+					stmts, res := []string{q}, make([]serve.Result, 1)
 					for pb.Next() {
-						p.PredictClass(q)
+						p.Predict(context.Background(), stmts, res)
 					}
 				})
 				b.StopTimer()

@@ -527,13 +527,6 @@ type predictResponse struct {
 	Results []Prediction `json:"results"`
 }
 
-// deployRequest mirrors the /v1/deploy body.
-type deployRequest struct {
-	Model   string `json:"model"`
-	Version int    `json:"version,omitempty"`
-	DeployOptions
-}
-
 // deadlineMs converts the configured per-attempt timeout into the
 // deadline_ms the HTTP predict body ships server-side.
 func (c *Client) deadlineMs() int {
@@ -737,7 +730,7 @@ func (c *Client) Deploy(ctx context.Context, model string, version int, opts ...
 	if len(opts) > 1 {
 		return ModelInfo{}, errors.New("client: deploy: at most one DeployOptions")
 	}
-	req := deployRequest{Model: model, Version: version}
+	req := service.DeployRequest{Model: model, Version: version}
 	if len(opts) == 1 {
 		req.DeployOptions = opts[0]
 	}
@@ -752,18 +745,6 @@ func (c *Client) Deploy(ctx context.Context, model string, version int, opts ...
 	return info, nil
 }
 
-// ingestRequest mirrors the /v1/ingest body.
-type ingestRequest struct {
-	Model     string  `json:"model"`
-	Statement string  `json:"statement"`
-	Class     int     `json:"class,omitempty"`
-	Value     float64 `json:"value,omitempty"`
-}
-
-type ingestResponse struct {
-	OK bool `json:"ok"`
-}
-
 // Feedback logs the observed ground-truth outcome for a served
 // statement (class for classification tasks, value in raw units for
 // regression tasks) to the serving node's ingest log, where the online
@@ -771,11 +752,11 @@ type ingestResponse struct {
 // feedback lands on one node's log. Not retried — like Deploy, it
 // changes state (a retry could double-count the observation).
 func (c *Client) Feedback(ctx context.Context, model, statement string, class int, value float64) error {
-	body, err := marshalBody(ingestRequest{Model: model, Statement: statement, Class: class, Value: value})
+	body, err := marshalBody(service.IngestRequest{Model: model, Statement: statement, Class: class, Value: value})
 	if err != nil {
 		return err
 	}
-	var resp ingestResponse
+	var resp service.IngestResponse
 	return c.call(ctx, model, http.MethodPost, wire.MsgIngest, "/v1/ingest", body, &resp, false)
 }
 
@@ -786,9 +767,7 @@ func (c *Client) Stats(ctx context.Context, model string) (ModelStats, error) {
 	var st ModelStats
 	v, err := c.runOp(ctx, model, "/v1/stats", true, func(ctx context.Context, n *node) (any, error) {
 		if n.wire != nil {
-			body, err := marshalBody(struct {
-				Model string `json:"model"`
-			}{model})
+			body, err := marshalBody(service.StatsRequest{Model: model})
 			if err != nil {
 				return nil, err
 			}
@@ -807,16 +786,11 @@ func (c *Client) Stats(ctx context.Context, model string) (ModelStats, error) {
 // /v1/admin/gc.
 type GCResult = service.GCResult
 
-// gcResponse mirrors the /v1/admin/gc body.
-type gcResponse struct {
-	Results []GCResult `json:"results"`
-}
-
 // GC runs a retention pass now on the node the empty routing key
 // prefers, returning what each model pruned and kept. Not retried —
 // like Deploy, it changes state.
 func (c *Client) GC(ctx context.Context) ([]GCResult, error) {
-	var resp gcResponse
+	var resp service.GCResponse
 	if err := c.call(ctx, "", http.MethodPost, wire.MsgGC, "/v1/admin/gc", nil, &resp, false); err != nil {
 		return nil, err
 	}

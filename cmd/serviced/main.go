@@ -267,7 +267,7 @@ func run(args []string, out io.Writer) error {
 	// Serve immediately: /v1/healthz answers 503 until the boot below
 	// finishes, so orchestrators can probe readiness instead of
 	// guessing how long warm boot and training take.
-	srv := &http.Server{Addr: cfg.addr, Handler: service.NewHandler(svc)}
+	srv := newHTTPServer(cfg.addr, service.NewHandler(svc))
 
 	// Wire-protocol listeners bind before anything serves, so an
 	// unusable address fails the start instead of a background goroutine.
@@ -410,6 +410,26 @@ func run(args []string, out io.Writer) error {
 	}
 	svc.Close()
 	return drainErrc()
+}
+
+// HTTP connection bounds. A client that trickles its request header
+// or parks an idle keep-alive connection cannot hold a node's sockets
+// and goroutines open indefinitely; bodies are capped separately by
+// the handler (service.MaxRequestBytes).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the node's HTTP server with its connection
+// bounds.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // boot brings the registry to its serving state: warm-boot everything

@@ -463,3 +463,15 @@ func TestOnlineLoopSwapsOnDrift(t *testing.T) {
 	}
 	stopServiced(t, done)
 }
+
+// TestHTTPServerTimeouts checks the node's HTTP server bounds slow
+// header reads and idle keep-alive connections.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(":0", nil)
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+}

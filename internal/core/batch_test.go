@@ -35,10 +35,8 @@ func TestBatchPredictBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want [][]float64
-			wantCls := make([]int, len(stmts))
-			for i, stmt := range stmts {
+			for _, stmt := range stmts {
 				want = append(want, m.Probs(stmt))
-				wantCls[i] = m.PredictClass(stmt)
 			}
 			got := m.ProbsBatchInto(stmts, nil)
 			if len(got) != len(stmts) {
@@ -49,12 +47,6 @@ func TestBatchPredictBitIdentical(t *testing.T) {
 					if math.Float64bits(v) != math.Float64bits(want[i][j]) {
 						t.Fatalf("stmt %d class %d: batch %v != scalar %v", i, j, v, want[i][j])
 					}
-				}
-			}
-			cls := m.PredictClassBatch(stmts, nil)
-			for i, c := range cls {
-				if c != wantCls[i] {
-					t.Fatalf("stmt %d: batch class %d != scalar %d", i, c, wantCls[i])
 				}
 			}
 			if m.PredictLogBatchInto(stmts, nil) != nil {
@@ -79,8 +71,8 @@ func TestBatchPredictBitIdentical(t *testing.T) {
 					t.Fatalf("stmt %d: batch %v != scalar %v", i, v, want[i])
 				}
 			}
-			if m.ProbsBatchInto(stmts, nil) != nil || m.PredictClassBatch(stmts, nil) != nil {
-				t.Fatal("classification batch methods must be nil for regression")
+			if m.ProbsBatchInto(stmts, nil) != nil {
+				t.Fatal("ProbsBatchInto must be nil for regression")
 			}
 		})
 	}
@@ -120,12 +112,20 @@ func TestBatchPredictAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		probs := m.ProbsBatchInto(stmts, nil) // warm scratch + rows
-		cls := m.PredictClassBatch(stmts, nil)
 		if allocs := testing.AllocsPerRun(50, func() {
 			probs = m.ProbsBatchInto(stmts, probs)
-			cls = m.PredictClassBatch(stmts, cls)
 		}); allocs != 0 {
 			t.Errorf("%s: batched predict allocs/op = %v, want 0", name, allocs)
 		}
+	}
+	reg, err := Train("ccnn", CPUTimePrediction, split.Train, TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := reg.PredictLogBatchInto(stmts, nil)
+	if allocs := testing.AllocsPerRun(50, func() {
+		logs = reg.PredictLogBatchInto(stmts, logs)
+	}); allocs != 0 {
+		t.Errorf("ccnn: batched log predict allocs/op = %v, want 0", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 
 	"repro/internal/core"
@@ -49,9 +50,12 @@ func (e *Env) evalClassifier(m *core.Model, task core.Task, test []workload.Item
 	if w < 1 {
 		return core.EvaluateClassifier(m, task, test)
 	}
-	p := serve.NewPredictor(m, serve.Options{Replicas: w})
-	defer p.Close()
-	return core.ClassificationEval(p.ProbsBatch(statements(test)), task, test)
+	res := predictPooled(m, w, test)
+	probs := make([][]float64, len(res))
+	for i := range res {
+		probs[i] = res[i].Probs
+	}
+	return core.ClassificationEval(probs, task, test)
 }
 
 // evalRegressor computes regression metrics for m on test, fanning the
@@ -61,7 +65,24 @@ func (e *Env) evalRegressor(m *core.Model, task core.Task, test []workload.Item)
 	if w < 1 {
 		return core.EvaluateRegressor(m, task, test)
 	}
+	res := predictPooled(m, w, test)
+	logs := make([]float64, len(res))
+	for i := range res {
+		logs[i] = res[i].Log
+	}
+	return core.RegressionEval(logs, m.LogMin, task, test)
+}
+
+// predictPooled predicts every test statement through a short-lived
+// pool of w replicas. The pool blocks for queue space and the context
+// never expires, so only a model panic can fail the call; it is
+// re-raised, as a direct model call would have raised it.
+func predictPooled(m *core.Model, w int, test []workload.Item) []serve.Result {
 	p := serve.NewPredictor(m, serve.Options{Replicas: w})
 	defer p.Close()
-	return core.RegressionEval(p.PredictLogBatch(statements(test)), m.LogMin, task, test)
+	res := make([]serve.Result, len(test))
+	if err := p.Predict(context.Background(), statements(test), res); err != nil {
+		panic(err)
+	}
+	return res
 }

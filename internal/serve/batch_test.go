@@ -23,11 +23,14 @@ func TestFusedBatchBitIdentical(t *testing.T) {
 		wantProbs[i] = cls.Probs(s)
 	}
 	p := NewPredictor(cls, Options{Replicas: 1, BatchWindow: 5 * time.Millisecond, MaxBatch: 8, QueueSize: 64})
-	probs := p.ProbsBatch(stmts)
+	res, err := predictAll(context.Background(), p, stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range stmts {
 		for c := range wantProbs[i] {
-			if probs[i][c] != wantProbs[i][c] {
-				t.Fatalf("fused probs[%d][%d] = %v, want %v", i, c, probs[i][c], wantProbs[i][c])
+			if res[i].Probs[c] != wantProbs[i][c] {
+				t.Fatalf("fused probs[%d][%d] = %v, want %v", i, c, res[i].Probs[c], wantProbs[i][c])
 			}
 		}
 	}
@@ -61,10 +64,13 @@ func TestFusedBatchBitIdentical(t *testing.T) {
 	}
 	pr := NewPredictor(reg, Options{Replicas: 1, BatchWindow: 5 * time.Millisecond, MaxBatch: 8, QueueSize: 64})
 	defer pr.Close()
-	logs := pr.PredictLogBatch(stmts)
+	logs, err := predictAll(context.Background(), pr, stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range stmts {
-		if logs[i] != wantLog[i] {
-			t.Fatalf("fused log[%d] = %v, want %v", i, logs[i], wantLog[i])
+		if logs[i].Log != wantLog[i] {
+			t.Fatalf("fused log[%d] = %v, want %v", i, logs[i].Log, wantLog[i])
 		}
 	}
 	if s := pr.Stats(); s.EffectiveBatch <= 1 {
@@ -72,51 +78,41 @@ func TestFusedBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFusedMixedKindsConcurrent hammers one windowed worker with all
-// three request kinds at once, so gathered batches contain mixed-kind
-// groups; every result must still match the sequential model exactly.
-// Under -race this also exercises the fused path's synchronization.
-func TestFusedMixedKindsConcurrent(t *testing.T) {
+// TestFusedMixedWidthsConcurrent hammers windowed workers with single
+// statements and batches of several widths at once, so gathered
+// batches mix requests from many callers; every result must still
+// match the sequential model exactly. Under -race this also exercises
+// the fused path's synchronization.
+func TestFusedMixedWidthsConcurrent(t *testing.T) {
 	m := trainedModels(t)["wlstm"]
 	stmts := testStatements(24)
 	wantProbs := make([][]float64, len(stmts))
-	wantCls := make([]int, len(stmts))
 	for i, s := range stmts {
 		wantProbs[i] = m.Probs(s)
-		wantCls[i] = m.PredictClass(s)
 	}
 	p := NewPredictor(m, Options{Replicas: 2, BatchWindow: 2 * time.Millisecond, MaxBatch: 16, QueueSize: 128})
 	defer p.Close()
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for g := 0; g < 6; g++ {
-		kind := g % 3
+		width := 1 + g%3*3 // 1, 4, 7 statements per call
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dst := make([]float64, 0, 8)
+			res := make([]Result, width)
 			for round := 0; round < 5; round++ {
-				for i, s := range stmts {
-					switch kind {
-					case 0:
-						dst = p.ProbsInto(s, dst)
-						for c := range dst {
-							if dst[c] != wantProbs[i][c] {
+				for i := 0; i+width <= len(stmts); i += width {
+					if err := p.Predict(ctx, stmts[i:i+width], res); err != nil {
+						errs <- err.Error()
+						return
+					}
+					for k := range res {
+						for c, v := range res[k].Probs {
+							if v != wantProbs[i+k][c] {
 								errs <- "probs mismatch under mixed fused load"
 								return
 							}
-						}
-					case 1:
-						if p.PredictClass(s) != wantCls[i] {
-							errs <- "class mismatch under mixed fused load"
-							return
-						}
-					default:
-						// Classification model: the log head is absent and
-						// must read zero, fused or not.
-						if p.PredictLog(s) != 0 {
-							errs <- "log head should be zero for classification"
-							return
 						}
 					}
 				}
@@ -160,7 +156,7 @@ func TestFusedPanicFallback(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.ProbsCtx(context.Background(), poison); !errors.Is(err, ErrPanicked) {
+			if _, err := predict1(context.Background(), p, poison, nil); !errors.Is(err, ErrPanicked) {
 				errs <- "poisoned request should fail with ErrPanicked"
 			}
 		}()
@@ -168,13 +164,13 @@ func TestFusedPanicFallback(t *testing.T) {
 			wg.Add(1)
 			go func(i int, s string) {
 				defer wg.Done()
-				out, err := p.ProbsCtx(context.Background(), s)
+				out, err := predict1(context.Background(), p, s, nil)
 				if err != nil {
 					errs <- "healthy request failed alongside poison: " + err.Error()
 					return
 				}
-				for c := range out {
-					if out[c] != want[i][c] {
+				for c := range out.Probs {
+					if out.Probs[c] != want[i][c] {
 						errs <- "healthy result corrupted by fused fallback"
 						return
 					}
@@ -199,24 +195,19 @@ func TestFusedPanicFallback(t *testing.T) {
 
 // TestFusedBatchAllocFree proves the warm fused serving path is
 // 0 allocs/op at a fixed batch width: pooled requests, preallocated
-// worker scratch, and capacity-reusing batch buffers end to end.
-// White-box: enqueue bursts directly so every round flows through the
-// same fused machinery.
+// worker scratch, and capacity-reusing result rows end to end. Each
+// burst is one Predict call whose statements one windowed worker
+// fuses.
 func TestFusedBatchAllocFree(t *testing.T) {
 	m := trainedModels(t)["clstm"]
 	stmts := testStatements(8)
 	p := NewPredictor(m, Options{Replicas: 1, BatchWindow: time.Millisecond, MaxBatch: 8, QueueSize: 64})
 	defer p.Close()
-	reqs := make([]*request, len(stmts))
-	dsts := make([][]float64, len(stmts))
+	ctx := context.Background()
+	res := make([]Result, len(stmts))
 	burst := func() {
-		for i, s := range stmts {
-			reqs[i] = p.enqueue(probsKind, s, dsts[i])
-		}
-		for i, r := range reqs {
-			<-r.done
-			dsts[i] = r.out // keep the written row as next round's capacity
-			p.release(r)
+		if err := p.Predict(ctx, stmts, res); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 4; i++ { // warm request pool, replica scratch, rows

@@ -31,10 +31,10 @@ func workerlessPredictor(opts Options) *Predictor {
 func TestEnqueueRejectsWhenQueueFull(t *testing.T) {
 	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 1, Admission: AdmitReject})
 	ctx := context.Background()
-	if _, err := p.enqueueCtx(ctx, classKind, "SELECT 1", nil); err != nil {
+	if _, err := p.enqueue(ctx, "SELECT 1", nil); err != nil {
 		t.Fatalf("first enqueue: %v", err)
 	}
-	if _, err := p.enqueueCtx(ctx, classKind, "SELECT 2", nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := p.enqueue(ctx, "SELECT 2", nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("second enqueue err = %v, want ErrQueueFull", err)
 	}
 	if got := p.Stats().Rejected; got != 1 {
@@ -47,12 +47,12 @@ func TestEnqueueRejectsWhenQueueFull(t *testing.T) {
 // rather than blocking forever.
 func TestEnqueueBlockHonorsDeadline(t *testing.T) {
 	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 1, Admission: AdmitBlock})
-	if _, err := p.enqueueCtx(context.Background(), classKind, "SELECT 1", nil); err != nil {
+	if _, err := p.enqueue(context.Background(), "SELECT 1", nil); err != nil {
 		t.Fatalf("first enqueue: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := p.enqueueCtx(ctx, classKind, "SELECT 2", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := p.enqueue(ctx, "SELECT 2", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked enqueue err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -65,7 +65,7 @@ func TestAwaitDeadlineWhileQueued(t *testing.T) {
 	p := workerlessPredictor(Options{Replicas: 1, QueueSize: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	r, err := p.enqueueCtx(ctx, classKind, "SELECT 1", nil)
+	r, err := p.enqueue(ctx, "SELECT 1", nil)
 	if err != nil {
 		t.Fatalf("enqueue: %v", err)
 	}
@@ -92,21 +92,21 @@ func TestPreExpiredContext(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.PredictClassCtx(ctx, "SELECT 1"); !errors.Is(err, context.Canceled) {
+	if _, err := predict1(ctx, p, "SELECT 1", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
-	if _, err := p.ProbsCtx(ctx, "SELECT 1"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("probs err = %v, want Canceled", err)
-	}
-	if _, err := p.ProbsBatchCtx(ctx, []string{"SELECT 1"}); !errors.Is(err, context.Canceled) {
+	if _, err := predictAll(ctx, p, []string{"SELECT 1", "SELECT 2"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch err = %v, want Canceled", err)
+	}
+	if s := p.Stats(); s.Completed != 0 || s.Canceled != 0 {
+		t.Fatalf("expired context reached the queue: %+v", s)
 	}
 }
 
-// TestCtxMethodsMatchLegacy checks that the context-aware methods,
-// given a generous deadline, return results bit-identical to both the
-// legacy pooled methods and direct sequential Model calls.
-func TestCtxMethodsMatchLegacy(t *testing.T) {
+// TestPredictMatchesModel checks that Predict, given a generous
+// deadline, returns results bit-identical to direct sequential Model
+// calls, one statement at a time and as a batch, for both heads.
+func TestPredictMatchesModel(t *testing.T) {
 	models := trainedModels(t)
 	stmts := testStatements(30)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -116,29 +116,28 @@ func TestCtxMethodsMatchLegacy(t *testing.T) {
 	p := NewPredictor(cls, Options{Replicas: 2})
 	for _, s := range stmts {
 		wantProbs := cls.Probs(s)
-		got, err := p.ProbsCtx(ctx, s)
+		got, err := predict1(ctx, p, s, nil)
 		if err != nil {
-			t.Fatalf("ProbsCtx: %v", err)
+			t.Fatalf("Predict: %v", err)
 		}
 		for c := range wantProbs {
-			if got[c] != wantProbs[c] {
-				t.Fatal("ProbsCtx differs from sequential")
+			if got.Probs[c] != wantProbs[c] {
+				t.Fatal("Predict probs differ from sequential")
 			}
 		}
-		c, err := p.PredictClassCtx(ctx, s)
-		if err != nil || c != cls.PredictClass(s) {
-			t.Fatalf("PredictClassCtx = %d, %v", c, err)
+		if c := argmax(got.Probs); c != cls.PredictClass(s) {
+			t.Fatalf("Predict class = %d, want %d", c, cls.PredictClass(s))
 		}
 	}
-	batch, err := p.ProbsBatchCtx(ctx, stmts)
+	batch, err := predictAll(ctx, p, stmts)
 	if err != nil {
-		t.Fatalf("ProbsBatchCtx: %v", err)
+		t.Fatalf("batch Predict: %v", err)
 	}
 	for i, s := range stmts {
 		want := cls.Probs(s)
 		for c := range want {
-			if batch[i][c] != want[c] {
-				t.Fatalf("ProbsBatchCtx[%d] differs", i)
+			if batch[i].Probs[c] != want[c] {
+				t.Fatalf("batch Predict[%d] differs", i)
 			}
 		}
 	}
@@ -148,44 +147,34 @@ func TestCtxMethodsMatchLegacy(t *testing.T) {
 	pr := NewPredictor(reg, Options{Replicas: 2})
 	defer pr.Close()
 	for _, s := range stmts[:5] {
-		v, err := pr.PredictLogCtx(ctx, s)
-		if err != nil || v != reg.PredictLog(s) {
-			t.Fatalf("PredictLogCtx = %v, %v", v, err)
-		}
-		raw, err := pr.PredictRawCtx(ctx, s)
-		if err != nil || raw != reg.PredictRaw(s) {
-			t.Fatalf("PredictRawCtx = %v, %v", raw, err)
+		got, err := predict1(ctx, pr, s, nil)
+		if err != nil || got.Log != reg.PredictLog(s) || got.Probs != nil {
+			t.Fatalf("Predict log = %+v, %v", got, err)
 		}
 	}
-	logs, err := pr.PredictLogBatchCtx(ctx, stmts)
+	logs, err := predictAll(ctx, pr, stmts)
 	if err != nil {
-		t.Fatalf("PredictLogBatchCtx: %v", err)
+		t.Fatalf("batch Predict: %v", err)
 	}
 	for i, s := range stmts {
-		if logs[i] != reg.PredictLog(s) {
-			t.Fatalf("PredictLogBatchCtx[%d] differs", i)
+		if logs[i].Log != reg.PredictLog(s) {
+			t.Fatalf("batch Predict log[%d] differs", i)
 		}
 	}
 }
 
-// TestCtxMethodsReturnErrClosed checks that the context-aware methods
-// convert the legacy use-after-Close panic into ErrClosed.
+// TestCtxMethodsReturnErrClosed checks that Predict after Close
+// returns ErrClosed for single statements and batches.
 func TestCtxMethodsReturnErrClosed(t *testing.T) {
 	m := trainedModels(t)["mfreq"]
 	p := NewPredictor(m, Options{Replicas: 1})
 	p.Close()
 	ctx := context.Background()
-	if _, err := p.PredictClassCtx(ctx, "SELECT 1"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("PredictClassCtx err = %v, want ErrClosed", err)
+	if _, err := predict1(ctx, p, "SELECT 1", nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Predict err = %v, want ErrClosed", err)
 	}
-	if _, err := p.ProbsIntoCtx(ctx, "SELECT 1", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ProbsIntoCtx err = %v, want ErrClosed", err)
-	}
-	if _, err := p.PredictLogCtx(ctx, "SELECT 1"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("PredictLogCtx err = %v, want ErrClosed", err)
-	}
-	if _, err := p.ProbsBatchCtx(ctx, []string{"a", "b"}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ProbsBatchCtx err = %v, want ErrClosed", err)
+	if _, err := predictAll(ctx, p, []string{"a", "b"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("batch Predict err = %v, want ErrClosed", err)
 	}
 }
 
@@ -206,7 +195,7 @@ func TestCloseConcurrencySafe(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 50; i++ {
-					if _, err := p.PredictClassCtx(ctx, "SELECT 1"); err != nil {
+					if _, err := predict1(ctx, p, "SELECT 1", nil); err != nil {
 						if !errors.Is(err, ErrClosed) {
 							errs <- err
 						}
@@ -234,34 +223,38 @@ func TestCloseConcurrencySafe(t *testing.T) {
 	}
 }
 
-// TestCtxPredictAllocFree proves the warm in-deadline ctx path matches
-// the legacy path's zero-allocation guarantee for the neural models.
+// TestCtxPredictAllocFree proves the warm in-deadline path is
+// allocation-free under AdmitReject for the neural models, for a
+// single statement and for a fixed-width batch.
 func TestCtxPredictAllocFree(t *testing.T) {
 	models := trainedModels(t)
-	stmt := testStatements(1)[0]
+	stmts := testStatements(4)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for _, name := range []string{"ccnn", "clstm"} {
 		p := NewPredictor(models[name], Options{Replicas: 1, Admission: AdmitReject, QueueSize: 64})
-		dst := make([]float64, 0, 8)
+		res := make([]Result, len(stmts))
+		for i := range res {
+			res[i].Probs = make([]float64, 0, 8)
+		}
 		for i := 0; i < 8; i++ { // warm the request pool and scratch
-			var err error
-			if dst, err = p.ProbsIntoCtx(ctx, stmt, dst); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.PredictClassCtx(ctx, stmt); err != nil {
+			if err := p.Predict(ctx, stmts, res); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if allocs := testing.AllocsPerRun(200, func() {
-			dst, _ = p.ProbsIntoCtx(ctx, stmt, dst)
+			p.Predict(ctx, stmts[:1], res[:1])
 		}); allocs != 0 {
-			t.Errorf("%s: ProbsIntoCtx allocs/op = %v, want 0", name, allocs)
+			t.Errorf("%s: single Predict allocs/op = %v, want 0", name, allocs)
 		}
-		if allocs := testing.AllocsPerRun(200, func() {
-			p.PredictClassCtx(ctx, stmt)
+		// Under -race sync.Pool drops a quarter of its Puts, which a
+		// multi-request call turns into whole allocations per op.
+		if raceDetectorEnabled {
+			p.Predict(ctx, stmts, res)
+		} else if allocs := testing.AllocsPerRun(200, func() {
+			p.Predict(ctx, stmts, res)
 		}); allocs != 0 {
-			t.Errorf("%s: PredictClassCtx allocs/op = %v, want 0", name, allocs)
+			t.Errorf("%s: batch Predict allocs/op = %v, want 0", name, allocs)
 		}
 		p.Close()
 	}
@@ -276,7 +269,7 @@ func TestDeadlineUnderLoad(t *testing.T) {
 	p := NewPredictor(m, Options{Replicas: 1, MaxBatch: 1, QueueSize: 128})
 	defer p.Close()
 	stmt := testStatements(1)[0]
-	want := m.PredictClass(stmt)
+	want := m.Probs(stmt)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -288,14 +281,16 @@ func TestDeadlineUnderLoad(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Microsecond)
 			defer cancel()
-			cls, err := p.PredictClassCtx(ctx, stmt)
+			res, err := predict1(ctx, p, stmt, nil)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case err == nil:
 				completed++
-				if cls != want {
-					bad = errors.New("completed request returned wrong class")
+				for c := range want {
+					if res.Probs[c] != want[c] {
+						bad = errors.New("completed request returned wrong probabilities")
+					}
 				}
 			case errors.Is(err, context.DeadlineExceeded):
 				expired++

@@ -34,16 +34,16 @@ func TestPanicIsolation(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 5
 	for round := 0; round < rounds; round++ {
-		if _, err := p.ProbsCtx(ctx, poison); !errors.Is(err, ErrPanicked) {
+		if _, err := predict1(ctx, p, poison, nil); !errors.Is(err, ErrPanicked) {
 			t.Fatalf("poisoned request err = %v, want ErrPanicked", err)
 		}
 		for i, s := range healthy {
-			got, err := p.ProbsCtx(ctx, s)
+			got, err := predict1(ctx, p, s, nil)
 			if err != nil {
 				t.Fatalf("healthy request after panic: %v", err)
 			}
 			for c := range want[i] {
-				if got[c] != want[i][c] {
+				if got.Probs[c] != want[i][c] {
 					t.Fatal("healthy prediction drifted after a panic")
 				}
 			}
@@ -55,23 +55,23 @@ func TestPanicIsolation(t *testing.T) {
 
 	// A poisoned statement inside a batch fails the batch with
 	// ErrPanicked rather than returning mixed results.
-	if _, err := p.ProbsBatchCtx(ctx, []string{healthy[0], poison, healthy[1]}); !errors.Is(err, ErrPanicked) {
+	if _, err := predictAll(ctx, p, []string{healthy[0], poison, healthy[1]}); !errors.Is(err, ErrPanicked) {
 		t.Fatalf("batch with poisoned statement err = %v, want ErrPanicked", err)
 	}
 
 	// The recover boundary is free on the success path: zero allocations
 	// per warm prediction even with a (non-firing) hook installed.
-	dst := make([]float64, 0, 8)
-	var err error
+	one := healthy[:1]
+	res := []Result{{Probs: make([]float64, 0, 8)}}
 	for i := 0; i < 8; i++ {
-		if dst, err = p.ProbsIntoCtx(ctx, healthy[0], dst); err != nil {
+		if err := p.Predict(ctx, one, res); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		dst, _ = p.ProbsIntoCtx(ctx, healthy[0], dst)
+		p.Predict(ctx, one, res)
 	}); allocs != 0 {
-		t.Errorf("non-fault ProbsIntoCtx allocs/op = %v, want 0", allocs)
+		t.Errorf("non-fault Predict allocs/op = %v, want 0", allocs)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestPanicReplicaRebuild(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for i := 0; i < 4; i++ { // 4 panics at limit 2 → two rebuilds
-		if _, err := p.ProbsCtx(ctx, poison); !errors.Is(err, ErrPanicked) {
+		if _, err := predict1(ctx, p, poison, nil); !errors.Is(err, ErrPanicked) {
 			t.Fatalf("poisoned request err = %v, want ErrPanicked", err)
 		}
 	}
@@ -103,12 +103,12 @@ func TestPanicReplicaRebuild(t *testing.T) {
 	if st.Panics != 4 || st.Rebuilds != 2 {
 		t.Fatalf("Stats panics=%d rebuilds=%d, want 4 and 2", st.Panics, st.Rebuilds)
 	}
-	got, err := p.ProbsCtx(ctx, stmts[1])
+	got, err := predict1(ctx, p, stmts[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := range want {
-		if got[c] != want[c] {
+		if got.Probs[c] != want[c] {
 			t.Fatal("rebuilt replica is not bit-identical to the snapshot")
 		}
 	}

@@ -29,13 +29,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/workpool"
 )
 
-// ErrClosed is returned by the context-aware prediction methods when
-// the Predictor has been closed. (The legacy blocking methods keep
-// their documented panic for backward compatibility.)
+// ErrClosed is returned by Predict once the Predictor has been closed.
 var ErrClosed = errors.New("serve: predictor closed")
 
 // ErrQueueFull is returned under the AdmitReject admission policy when
@@ -54,13 +51,12 @@ var ErrPanicked = errors.New("serve: model panicked")
 type AdmissionPolicy int
 
 const (
-	// AdmitBlock applies backpressure: senders wait for queue space.
-	// Context-aware methods still honor cancellation while waiting.
+	// AdmitBlock applies backpressure: senders wait for queue space,
+	// honoring cancellation while they wait.
 	AdmitBlock AdmissionPolicy = iota
-	// AdmitReject fails fast: context-aware methods return ErrQueueFull
-	// instead of waiting, bounding worst-case latency under overload
-	// (the admission-control mode a deadline-driven front-end wants).
-	// Legacy blocking methods ignore the policy and always block.
+	// AdmitReject fails fast: Predict returns ErrQueueFull instead of
+	// waiting, bounding worst-case latency under overload (the
+	// admission-control mode a deadline-driven front-end wants).
 	AdmitReject
 )
 
@@ -80,8 +76,8 @@ type Options struct {
 	// MaxBatch caps how many requests one worker drains per batch.
 	// <= 0 selects 32.
 	MaxBatch int
-	// Admission selects the full-queue behavior of the context-aware
-	// methods (default AdmitBlock).
+	// Admission selects Predict's full-queue behavior (default
+	// AdmitBlock).
 	Admission AdmissionPolicy
 	// PanicLimit is how many panics one replica absorbs before it is
 	// retired and rebuilt from the model snapshot (fresh scratch state;
@@ -109,15 +105,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// reqKind selects which prediction a request carries.
-type reqKind uint8
-
-const (
-	probsKind reqKind = iota
-	classKind
-	logKind
-)
-
 // Request lifecycle states. A queued request is owned jointly by the
 // caller and the worker pool; the state CAS decides who wins when a
 // cancellation races a worker picking the request up.
@@ -131,17 +118,18 @@ const (
 // channel (buffered, capacity 1) is reused, so the warm request path
 // allocates nothing.
 type request struct {
-	kind reqKind
 	stmt string
-	dst  []float64 // caller-provided output buffer (probsKind)
+	dst  []float64 // caller's probability row (classification)
 	out  []float64
-	cls  int
 	val  float64
 	// err is the per-request failure (ErrPanicked-wrapped) set by the
 	// worker before the done signal; nil on success.
 	err  error
 	enq  time.Time
 	done chan struct{}
+	// next links the requests of one Predict call in statement order.
+	// Only the calling goroutine follows it; release clears it.
+	next *request
 	// state arbitrates caller cancellation vs. worker pickup: exactly
 	// one side transitions it away from reqQueued. An abandoned request
 	// is released back to the pool by the worker that drains it; a
@@ -149,28 +137,30 @@ type request struct {
 	state atomic.Uint32
 }
 
+// Result is one statement's prediction. The model's task picks the
+// head: classification models fill Probs, regression models fill Log.
+type Result struct {
+	// Probs is the class distribution, written into the row's existing
+	// backing array (grown only when its capacity is insufficient), so a
+	// caller that reuses its results predicts without allocating.
+	Probs []float64
+	// Log is the log-space regression prediction.
+	Log float64
+}
+
 // Predictor serves predictions from a pool of shared-weight replicas
-// of one trained model. Its methods mirror core.Model's prediction API
-// and are safe for concurrent use; results are bit-identical to
-// sequential calls on the wrapped model.
+// of one trained model. Predict is safe for concurrent use and its
+// results are bit-identical to sequential calls on the wrapped model.
 //
-// Two method families exist:
-//
-//   - The context-aware methods (ProbsCtx, PredictClassCtx, ...) honor
-//     cancellation and deadlines while a request is queued, apply the
-//     configured admission policy, and return ErrClosed after Close.
-//     The warm in-deadline path allocates nothing.
-//   - The legacy blocking methods (Probs, PredictClass, ...) always
-//     block for a result and panic after Close (their documented
-//     historical contract).
-//
-// Cancellation granularity: a context is honored up to the moment a
-// worker picks the request up. Once inference has started it runs to
+// Predict honors cancellation and deadlines while a request is queued,
+// applies the configured admission policy, and returns ErrClosed after
+// Close. Once a worker picks a request up, inference runs to
 // completion (single predictions take microseconds) and the call
 // returns the result rather than the context error.
 type Predictor struct {
-	model *core.Model
-	opts  Options
+	model    *core.Model
+	opts     Options
+	classify bool // the head every request needs, from model.Task
 
 	queue    chan *request
 	pool     *workpool.Pool
@@ -194,6 +184,7 @@ func NewPredictor(m *core.Model, opts Options) *Predictor {
 	p := &Predictor{
 		model:       m,
 		opts:        opts,
+		classify:    m.Task.IsClassification(),
 		queue:       make(chan *request, opts.QueueSize),
 		replicas:    make([]*core.Model, opts.Replicas),
 		workersDone: make(chan struct{}),
@@ -222,10 +213,9 @@ func (p *Predictor) Model() *core.Model { return p.model }
 
 // Close drains in-flight requests, stops the workers, and releases the
 // pool. It is idempotent and safe to call from any number of
-// goroutines racing with in-flight enqueues: requests admitted before
-// Close complete normally, context-aware calls arriving after return
-// ErrClosed, and legacy blocking calls panic (their documented
-// contract).
+// goroutines racing with in-flight Predict calls: requests admitted
+// before Close complete normally, and calls arriving after it return
+// ErrClosed.
 func (p *Predictor) Close() {
 	p.mu.Lock()
 	if !p.closed {
@@ -236,250 +226,68 @@ func (p *Predictor) Close() {
 	<-p.workersDone
 }
 
-// Probs returns the class distribution for a statement in a freshly
-// allocated slice (nil for regression models).
-func (p *Predictor) Probs(stmt string) []float64 {
-	return p.ProbsInto(stmt, nil)
-}
-
-// ProbsInto writes the class distribution for a statement into dst
-// (grown only when capacity is insufficient) and returns the written
-// slice. With a capacity-sufficient dst the warm path performs zero
-// allocations.
-func (p *Predictor) ProbsInto(stmt string, dst []float64) []float64 {
-	r := p.enqueue(probsKind, stmt, dst)
-	<-r.done
-	out := r.out
-	p.release(r)
-	return out
-}
-
-// PredictClass returns the argmax class for a statement.
-func (p *Predictor) PredictClass(stmt string) int {
-	r := p.enqueue(classKind, stmt, nil)
-	<-r.done
-	cls := r.cls
-	p.release(r)
-	return cls
-}
-
-// PredictLog returns the log-space regression prediction.
-func (p *Predictor) PredictLog(stmt string) float64 {
-	r := p.enqueue(logKind, stmt, nil)
-	<-r.done
-	val := r.val
-	p.release(r)
-	return val
-}
-
-// PredictRaw returns the regression prediction in the label's original
-// units, inverting the paper's log transform.
-func (p *Predictor) PredictRaw(stmt string) float64 {
-	return metrics.InverseLogTransform(p.PredictLog(stmt), p.model.LogMin)
-}
-
-// ProbsCtx returns the class distribution for a statement in a freshly
-// allocated slice, honoring ctx while the request is queued.
-func (p *Predictor) ProbsCtx(ctx context.Context, stmt string) ([]float64, error) {
-	return p.ProbsIntoCtx(ctx, stmt, nil)
-}
-
-// ProbsIntoCtx writes the class distribution for a statement into dst
-// (grown only when capacity is insufficient) and returns the written
-// slice. It honors ctx cancellation and deadlines while the request is
-// queued, returns ErrQueueFull under the AdmitReject policy, and
-// ErrClosed after Close. With a capacity-sufficient dst the warm
-// in-deadline path performs zero allocations.
-func (p *Predictor) ProbsIntoCtx(ctx context.Context, stmt string, dst []float64) ([]float64, error) {
-	r, err := p.enqueueCtx(ctx, probsKind, stmt, dst)
-	if err != nil {
-		return nil, err
+// Predict predicts every statement into the matching element of out,
+// which must be at least as long as stmts. The statements fan out
+// across the replica pool; a single statement is a batch of one.
+//
+// On error Predict returns the first failure — ctx expiry, ErrQueueFull
+// under AdmitReject, ErrClosed, or a wrapped ErrPanicked for a
+// statement whose inference panicked — and out holds results only for
+// the statements that succeeded. Requests already queued are awaited
+// or abandoned, never leaked. With capacity-sufficient Probs rows the
+// warm single-statement path performs zero allocations.
+func (p *Predictor) Predict(ctx context.Context, stmts []string, out []Result) error {
+	if len(out) < len(stmts) {
+		return fmt.Errorf("serve: %d results for %d statements", len(out), len(stmts))
 	}
-	if err := p.await(ctx, r); err != nil {
-		return nil, err
-	}
-	out, err := r.out, r.err
-	p.release(r)
-	return out, err
-}
-
-// PredictClassCtx returns the argmax class for a statement, honoring
-// ctx while the request is queued.
-func (p *Predictor) PredictClassCtx(ctx context.Context, stmt string) (int, error) {
-	r, err := p.enqueueCtx(ctx, classKind, stmt, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := p.await(ctx, r); err != nil {
-		return 0, err
-	}
-	cls, err := r.cls, r.err
-	p.release(r)
-	return cls, err
-}
-
-// PredictLogCtx returns the log-space regression prediction, honoring
-// ctx while the request is queued.
-func (p *Predictor) PredictLogCtx(ctx context.Context, stmt string) (float64, error) {
-	r, err := p.enqueueCtx(ctx, logKind, stmt, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := p.await(ctx, r); err != nil {
-		return 0, err
-	}
-	val, err := r.val, r.err
-	p.release(r)
-	return val, err
-}
-
-// PredictRawCtx returns the regression prediction in the label's
-// original units, honoring ctx while the request is queued.
-func (p *Predictor) PredictRawCtx(ctx context.Context, stmt string) (float64, error) {
-	v, err := p.PredictLogCtx(ctx, stmt)
-	if err != nil {
-		return 0, err
-	}
-	return metrics.InverseLogTransform(v, p.model.LogMin), nil
-}
-
-// ProbsBatchCtx computes the class distribution for every statement
-// across the replica pool, in input order. On error (cancellation,
-// rejection, close) it returns nil results and the first error;
-// requests already in flight are awaited or abandoned, never leaked.
-func (p *Predictor) ProbsBatchCtx(ctx context.Context, stmts []string) ([][]float64, error) {
-	out := make([][]float64, len(stmts))
-	reqs := make([]*request, len(stmts))
-	n, firstErr := p.enqueueBatchCtx(ctx, probsKind, stmts, reqs)
-	for i := 0; i < n; i++ {
-		r := reqs[i]
-		if err := p.await(ctx, r); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue // abandoned; the draining worker releases it
-		}
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		out[i] = r.out
-		p.release(r)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// PredictLogBatchCtx computes the log-space regression prediction for
-// every statement across the replica pool, in input order, with the
-// same error semantics as ProbsBatchCtx.
-func (p *Predictor) PredictLogBatchCtx(ctx context.Context, stmts []string) ([]float64, error) {
-	out := make([]float64, len(stmts))
-	reqs := make([]*request, len(stmts))
-	n, firstErr := p.enqueueBatchCtx(ctx, logKind, stmts, reqs)
-	for i := 0; i < n; i++ {
-		r := reqs[i]
-		if err := p.await(ctx, r); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		out[i] = r.val
-		p.release(r)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// enqueueBatchCtx enqueues one request per statement into reqs,
-// stopping at the first enqueue error. It returns how many were
-// enqueued and that error (nil when all made it in).
-func (p *Predictor) enqueueBatchCtx(ctx context.Context, kind reqKind, stmts []string, reqs []*request) (int, error) {
+	var head, tail *request
+	var firstErr error
 	for i, s := range stmts {
-		r, err := p.enqueueCtx(ctx, kind, s, nil)
+		r, err := p.enqueue(ctx, s, out[i].Probs)
 		if err != nil {
-			return i, err
+			firstErr = err
+			break
 		}
-		reqs[i] = r
+		if tail == nil {
+			head = r
+		} else {
+			tail.next = r
+		}
+		tail = r
 	}
-	return len(stmts), nil
+	for i, r := 0, head; r != nil; i++ {
+		// Read the link first: an abandoned request belongs to the
+		// worker that drains it and may be recycled at any moment.
+		next := r.next
+		if err := p.await(ctx, r); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+		} else {
+			if r.err == nil {
+				out[i].Probs, out[i].Log = r.out, r.val
+			} else if firstErr == nil {
+				firstErr = r.err
+			}
+			p.release(r)
+		}
+		r = next
+	}
+	return firstErr
 }
 
-// ProbsBatch computes the class distribution for every statement,
-// fanning the work across the replica pool, and returns one freshly
-// allocated distribution per statement, in input order.
-func (p *Predictor) ProbsBatch(stmts []string) [][]float64 {
-	out := make([][]float64, len(stmts))
-	reqs := make([]*request, len(stmts))
-	for i, s := range stmts {
-		reqs[i] = p.enqueue(probsKind, s, nil)
-	}
-	for i, r := range reqs {
-		<-r.done
-		out[i] = r.out
-		p.release(r)
-	}
-	return out
-}
-
-// PredictLogBatch computes the log-space regression prediction for
-// every statement across the replica pool, in input order.
-func (p *Predictor) PredictLogBatch(stmts []string) []float64 {
-	out := make([]float64, len(stmts))
-	reqs := make([]*request, len(stmts))
-	for i, s := range stmts {
-		reqs[i] = p.enqueue(logKind, s, nil)
-	}
-	for i, r := range reqs {
-		<-r.done
-		out[i] = r.val
-		p.release(r)
-	}
-	return out
-}
-
-// newRequest takes a pooled request and initializes it for one
-// prediction.
-func (p *Predictor) newRequest(kind reqKind, stmt string, dst []float64) *request {
-	r := p.reqPool.Get().(*request)
-	r.kind, r.stmt, r.dst = kind, stmt, dst
-	r.out, r.err = nil, nil
-	r.state.Store(reqQueued)
-	r.enq = time.Now()
-	return r
-}
-
-// enqueue submits a request to the worker pool, blocking when the
-// queue is full (backpressure). It panics after Close — the legacy
-// methods' documented contract.
-func (p *Predictor) enqueue(kind reqKind, stmt string, dst []float64) *request {
-	r := p.newRequest(kind, stmt, dst)
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		panic("serve: Predictor used after Close")
-	}
-	p.queue <- r
-	p.mu.RUnlock()
-	return r
-}
-
-// enqueueCtx submits a request honoring ctx and the admission policy:
+// enqueue submits one request honoring ctx and the admission policy:
 // it returns ErrClosed after Close, ErrQueueFull when the queue is
 // full under AdmitReject, and ctx.Err() when ctx expires while waiting
 // for queue space under AdmitBlock.
-func (p *Predictor) enqueueCtx(ctx context.Context, kind reqKind, stmt string, dst []float64) (*request, error) {
+func (p *Predictor) enqueue(ctx context.Context, stmt string, dst []float64) (*request, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := p.newRequest(kind, stmt, dst)
+	r := p.reqPool.Get().(*request)
+	r.stmt, r.dst = stmt, dst
+	r.state.Store(reqQueued)
+	r.enq = time.Now()
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -534,55 +342,44 @@ func (p *Predictor) await(ctx context.Context, r *request) error {
 	}
 }
 
-// release returns a completed request to the pool.
+// release returns a request to the pool.
 func (p *Predictor) release(r *request) {
 	r.stmt = ""
-	r.dst, r.out, r.err = nil, nil, nil
+	r.dst, r.out, r.err, r.next = nil, nil, nil, nil
 	p.reqPool.Put(r)
 }
 
-// workerScratch holds one worker's batching buffers, preallocated at
-// MaxBatch capacity so the warm fused path allocates nothing.
+// workerScratch holds one worker's fused-batch buffers, preallocated
+// at MaxBatch capacity so the warm fused path allocates nothing.
 type workerScratch struct {
-	// groups partitions one drained batch by request kind. The split
-	// happens up front, before any group runs: once a request's done
-	// signal fires its object can be recycled through the pool, so the
-	// worker must never read a completed request's fields again.
-	groups [3][]*request
-	stmts  []string
-	dsts   [][]float64
-	cls    []int
-	vals   []float64
+	stmts []string
+	dsts  [][]float64
+	vals  []float64
 }
 
 func newWorkerScratch(maxBatch int) *workerScratch {
-	sc := &workerScratch{
+	return &workerScratch{
 		stmts: make([]string, 0, maxBatch),
 		dsts:  make([][]float64, 0, maxBatch),
-		cls:   make([]int, 0, maxBatch),
 		vals:  make([]float64, 0, maxBatch),
 	}
-	for i := range sc.groups {
-		sc.groups[i] = make([]*request, 0, maxBatch)
-	}
-	return sc
 }
 
 // worker is one replica loop: take a request, gather a micro-batch,
 // run it, repeat until the queue closes. The worker first wins the
 // ownership CAS for every request in the batch (so cancellation races
-// settle before any compute), then partitions the owned requests by
-// prediction kind and runs each group of two or more as ONE fused
-// batched forward on the replica — the n-row matrix path of
-// core.Model's Batch methods — splitting the results back per request.
+// settle before any compute), then runs the owned requests — two or
+// more of them as ONE fused batched forward on the replica, the n-row
+// matrix path of core.Model's Batch methods — splitting the results
+// back per request. A lone request runs the scalar path once.
 //
 // Fault isolation is preserved exactly: a fused call that panics
 // completes nothing, and the worker falls back to per-request
-// processing of that group, where the existing per-request recover
-// boundary fails only the poisoned request (counted once in
-// Stats().Panics) and serves the rest. Replica rebuild strikes accrue
-// only from those per-request panics, so a replica is retired after
-// PanicLimit genuinely failed requests, same as before batching.
+// processing, where the per-request recover boundary fails only the
+// poisoned request (counted once in Stats().Panics) and serves the
+// rest. Replica rebuild strikes accrue only from those per-request
+// panics, so a replica is retired after PanicLimit genuinely failed
+// requests, same as without batching.
 func (p *Predictor) worker(w int) {
 	rep := p.replicas[w]
 	ring := &p.stats.lat[w]
@@ -604,50 +401,41 @@ func (p *Predictor) worker(w int) {
 		p.stats.batches.Add(1)
 		// Win the ownership race against cancellation before touching
 		// any request (dst aliases the caller's buffer): a caller that
-		// abandoned a request has already returned. Partition by kind
-		// in the same pass — after a group completes, its pooled
-		// request objects may be recycled, so no field can be re-read.
-		for i := range sc.groups {
-			sc.groups[i] = sc.groups[i][:0]
-		}
+		// abandoned a request has already returned. The batch compacts
+		// in place to the owned requests.
+		owned := batch[:0]
 		for _, r := range batch {
 			if !r.state.CompareAndSwap(reqQueued, reqRunning) {
 				p.release(r)
 				continue
 			}
-			sc.groups[r.kind] = append(sc.groups[r.kind], r)
+			owned = append(owned, r)
 		}
-		for kind := range sc.groups {
-			group := sc.groups[kind]
-			if len(group) == 0 {
-				continue
-			}
-			if len(group) > 1 && p.runFused(rep, ring, reqKind(kind), group, sc) {
-				continue
-			}
-			// Width-1 group, or fused-panic fallback: per-request
-			// processing with the per-request recover boundary.
-			for _, r := range group {
-				if p.process(rep, ring, r) {
-					if panics++; panics >= p.opts.PanicLimit {
-						rep = p.model.Replicate()
-						p.replicas[w] = rep
-						p.stats.rebuilds.Add(1)
-						panics = 0
-					}
+		if len(owned) > 1 && p.runFused(rep, ring, owned, sc) {
+			continue
+		}
+		// A lone request, or the fused-panic fallback: per-request
+		// processing with the per-request recover boundary.
+		for _, r := range owned {
+			if p.process(rep, ring, r) {
+				if panics++; panics >= p.opts.PanicLimit {
+					rep = p.model.Replicate()
+					p.replicas[w] = rep
+					p.stats.rebuilds.Add(1)
+					panics = 0
 				}
 			}
 		}
 	}
 }
 
-// runFused runs one same-kind group of owned requests as a single
-// fused batched call, reporting whether it completed. On a panic
-// anywhere inside the fused forward it returns false having completed
-// NO request — no done signal sent, no counters touched — so the
-// caller's per-request fallback re-runs the whole group and only the
-// poisoned request fails.
-func (p *Predictor) runFused(rep *core.Model, ring *latRing, kind reqKind, group []*request, sc *workerScratch) (ok bool) {
+// runFused runs a group of owned requests as a single fused batched
+// call, reporting whether it completed. On a panic anywhere inside the
+// fused forward it returns false having completed NO request — no done
+// signal sent, no counters touched — so the caller's per-request
+// fallback re-runs the whole group and only the poisoned request
+// fails.
+func (p *Predictor) runFused(rep *core.Model, ring *latRing, group []*request, sc *workerScratch) (ok bool) {
 	n := len(group)
 	sc.stmts = sc.stmts[:0]
 	for _, r := range group {
@@ -658,42 +446,19 @@ func (p *Predictor) runFused(rep *core.Model, ring *latRing, kind reqKind, group
 			ok = false
 		}
 	}()
-	switch kind {
-	case probsKind:
+	if p.classify {
 		sc.dsts = sc.dsts[:0]
 		for _, r := range group {
 			sc.dsts = append(sc.dsts, r.dst)
 		}
-		if res := rep.ProbsBatchInto(sc.stmts, sc.dsts); res != nil {
-			sc.dsts = res
-			for i, r := range group {
-				r.out = res[i]
-			}
+		sc.dsts = rep.ProbsBatchInto(sc.stmts, sc.dsts)
+		for i, r := range group {
+			r.out = sc.dsts[i]
 		}
-	case classKind:
-		if res := rep.PredictClassBatch(sc.stmts, sc.cls); res != nil {
-			sc.cls = res
-			for i, r := range group {
-				r.cls = res[i]
-			}
-		} else {
-			// Kind/model mismatch (class request on a regression model):
-			// the scalar path writes the zero value, and pooled requests
-			// carry stale fields, so mirror it explicitly.
-			for _, r := range group {
-				r.cls = 0
-			}
-		}
-	default:
-		if res := rep.PredictLogBatchInto(sc.stmts, sc.vals); res != nil {
-			sc.vals = res
-			for i, r := range group {
-				r.val = res[i]
-			}
-		} else {
-			for _, r := range group {
-				r.val = 0
-			}
+	} else {
+		sc.vals = rep.PredictLogBatchInto(sc.stmts, sc.vals)
+		for i, r := range group {
+			r.val = sc.vals[i]
 		}
 	}
 	for _, r := range group {
@@ -802,12 +567,9 @@ func (p *Predictor) process(rep *core.Model, ring *latRing, r *request) (panicke
 			r.done <- struct{}{}
 		}
 	}()
-	switch r.kind {
-	case probsKind:
+	if p.classify {
 		r.out = rep.ProbsInto(r.stmt, r.dst)
-	case classKind:
-		r.cls = rep.PredictClass(r.stmt)
-	default:
+	} else {
 		r.val = rep.PredictLog(r.stmt)
 	}
 	d := time.Since(r.enq)

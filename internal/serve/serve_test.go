@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -59,6 +61,31 @@ func testStatements(n int) []string {
 	return stmts
 }
 
+// predict1 runs one statement through Predict, writing the
+// distribution into dst's backing array.
+func predict1(ctx context.Context, p *Predictor, stmt string, dst []float64) (Result, error) {
+	res := [1]Result{{Probs: dst}}
+	err := p.Predict(ctx, []string{stmt}, res[:])
+	return res[0], err
+}
+
+// predictAll runs a whole batch through Predict into fresh results.
+func predictAll(ctx context.Context, p *Predictor, stmts []string) ([]Result, error) {
+	out := make([]Result, len(stmts))
+	return out, p.Predict(ctx, stmts, out)
+}
+
+// argmax is the first-max tie-breaking of core.Model.PredictClass.
+func argmax(probs []float64) int {
+	best := 0
+	for c := range probs {
+		if probs[c] > probs[best] {
+			best = c
+		}
+	}
+	return best
+}
+
 // TestPredictorBitIdenticalToModel checks the core serving guarantee:
 // a pooled Predictor returns results bit-identical to direct
 // sequential Model calls, for every model kind, including under
@@ -66,6 +93,7 @@ func testStatements(n int) []string {
 func TestPredictorBitIdenticalToModel(t *testing.T) {
 	models := trainedModels(t)
 	stmts := testStatements(60)
+	ctx := context.Background()
 	for name, m := range models {
 		classification := m.Task.IsClassification()
 		// Direct (sequential) expectations first; the predictor uses
@@ -90,19 +118,24 @@ func TestPredictorBitIdenticalToModel(t *testing.T) {
 				defer wg.Done()
 				dst := make([]float64, 0, 16)
 				for i, s := range stmts {
+					res, err := predict1(ctx, p, s, dst)
+					if err != nil {
+						errs <- name + ": " + err.Error()
+						return
+					}
 					if classification {
-						dst = p.ProbsInto(s, dst)
+						dst = res.Probs
 						for c := range dst {
 							if dst[c] != wantProbs[i][c] {
 								errs <- name + ": probs mismatch"
 								return
 							}
 						}
-						if p.PredictClass(s) != wantClass[i] {
+						if argmax(dst) != wantClass[i] {
 							errs <- name + ": class mismatch"
 							return
 						}
-					} else if p.PredictLog(s) != wantLog[i] {
+					} else if res.Log != wantLog[i] {
 						errs <- name + ": log mismatch"
 						return
 					}
@@ -119,20 +152,24 @@ func TestPredictorBitIdenticalToModel(t *testing.T) {
 	}
 }
 
-// TestPredictorBatchAPIs checks ProbsBatch/PredictLogBatch order and
-// equality with sequential calls.
+// TestPredictorBatchAPIs checks that a multi-statement Predict keeps
+// input order and equals sequential calls, for both heads.
 func TestPredictorBatchAPIs(t *testing.T) {
 	models := trainedModels(t)
 	stmts := testStatements(40)
+	ctx := context.Background()
 
 	cls := models["clstm"]
 	p := NewPredictor(cls, Options{Replicas: 3})
-	probs := p.ProbsBatch(stmts)
+	res, err := predictAll(ctx, p, stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range stmts {
 		want := cls.Probs(s)
 		for c := range want {
-			if probs[i][c] != want[c] {
-				t.Fatalf("ProbsBatch[%d] differs from sequential", i)
+			if res[i].Probs[c] != want[c] {
+				t.Fatalf("batch probs[%d] differs from sequential", i)
 			}
 		}
 	}
@@ -141,14 +178,14 @@ func TestPredictorBatchAPIs(t *testing.T) {
 	reg := models["ccnn-reg"]
 	pr := NewPredictor(reg, Options{Replicas: 3})
 	defer pr.Close()
-	logs := pr.PredictLogBatch(stmts)
-	for i, s := range stmts {
-		if want := reg.PredictLog(s); logs[i] != want {
-			t.Fatalf("PredictLogBatch[%d] = %v, want %v", i, logs[i], want)
-		}
+	res, err = predictAll(ctx, pr, stmts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if raw := pr.PredictRaw(stmts[0]); raw != reg.PredictRaw(stmts[0]) {
-		t.Fatal("PredictRaw differs from sequential")
+	for i, s := range stmts {
+		if want := reg.PredictLog(s); res[i].Log != want {
+			t.Fatalf("batch log[%d] = %v, want %v", i, res[i].Log, want)
+		}
 	}
 }
 
@@ -159,16 +196,18 @@ func TestPredictorStats(t *testing.T) {
 	p := NewPredictor(m, Options{Replicas: 2})
 	defer p.Close()
 	stmts := testStatements(50)
-	p.ProbsBatch(stmts)
+	if _, err := predictAll(context.Background(), p, stmts); err != nil {
+		t.Fatal(err)
+	}
 	s := p.Stats()
 	if s.Completed != uint64(len(stmts)) {
 		t.Fatalf("Completed = %d, want %d", s.Completed, len(stmts))
 	}
-	if s.Batches == 0 || s.Batches > s.Completed {
-		t.Fatalf("Batches = %d out of range", s.Batches)
+	if s.Batches == 0 {
+		t.Fatal("Batches = 0 after serving")
 	}
-	if s.MeanBatch < 1 {
-		t.Fatalf("MeanBatch = %v, want >= 1", s.MeanBatch)
+	if s.Batches > s.Completed {
+		t.Fatalf("Batches = %d > Completed = %d", s.Batches, s.Completed)
 	}
 	if s.P50 <= 0 || s.P99 < s.P50 {
 		t.Fatalf("latency percentiles p50=%v p99=%v", s.P50, s.P99)
@@ -192,7 +231,9 @@ func TestPredictorMicroBatches(t *testing.T) {
 	p := NewPredictor(m, Options{Replicas: 1, BatchWindow: 50_000_000, MaxBatch: 16, QueueSize: 64})
 	defer p.Close()
 	stmts := testStatements(32)
-	p.ProbsBatch(stmts)
+	if _, err := predictAll(context.Background(), p, stmts); err != nil {
+		t.Fatal(err)
+	}
 	s := p.Stats()
 	if s.Completed != uint64(len(stmts)) {
 		t.Fatalf("Completed = %d", s.Completed)
@@ -202,22 +243,21 @@ func TestPredictorMicroBatches(t *testing.T) {
 	}
 }
 
-// TestPredictorCloseIdempotentAndPanics checks Close twice is safe and
-// that post-Close use panics loudly rather than hanging.
-func TestPredictorCloseIdempotentAndPanics(t *testing.T) {
+// TestPredictorCloseIdempotent checks Close twice is safe and that
+// post-Close use fails with ErrClosed rather than hanging.
+func TestPredictorCloseIdempotent(t *testing.T) {
 	m := trainedModels(t)["mfreq"]
 	p := NewPredictor(m, Options{Replicas: 2})
-	if got := p.PredictClass("SELECT 1"); got != m.PredictClass("SELECT 1") {
-		t.Fatal("prediction before close")
+	ctx := context.Background()
+	res, err := predict1(ctx, p, "SELECT 1", nil)
+	if err != nil || argmax(res.Probs) != m.PredictClass("SELECT 1") {
+		t.Fatalf("prediction before close = %v, %v", res, err)
 	}
 	p.Close()
 	p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("prediction after Close should panic")
-		}
-	}()
-	p.PredictClass("SELECT 1")
+	if _, err := predict1(ctx, p, "SELECT 1", nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("prediction after Close err = %v, want ErrClosed", err)
+	}
 }
 
 // TestPredictorAllocFree proves the warm serve path performs zero
@@ -226,24 +266,22 @@ func TestPredictorCloseIdempotentAndPanics(t *testing.T) {
 func TestPredictorAllocFree(t *testing.T) {
 	models := trainedModels(t)
 	stmt := testStatements(1)[0]
-	for _, name := range []string{"ccnn", "wcnn", "clstm", "wlstm"} {
+	ctx := context.Background()
+	for _, name := range []string{"ccnn", "wcnn", "clstm", "wlstm", "ccnn-reg"} {
 		m := models[name]
 		p := NewPredictor(m, Options{Replicas: 1})
-		dst := make([]float64, 0, 8)
+		stmts := []string{stmt}
+		res := []Result{{Probs: make([]float64, 0, 8)}}
 		// Warm up the request pool and replica scratch.
 		for i := 0; i < 8; i++ {
-			dst = p.ProbsInto(stmt, dst)
-			p.PredictClass(stmt)
+			if err := p.Predict(ctx, stmts, res); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if allocs := testing.AllocsPerRun(200, func() {
-			dst = p.ProbsInto(stmt, dst)
+			p.Predict(ctx, stmts, res)
 		}); allocs != 0 {
-			t.Errorf("%s: ProbsInto allocs/op = %v, want 0", name, allocs)
-		}
-		if allocs := testing.AllocsPerRun(200, func() {
-			p.PredictClass(stmt)
-		}); allocs != 0 {
-			t.Errorf("%s: PredictClass allocs/op = %v, want 0", name, allocs)
+			t.Errorf("%s: Predict allocs/op = %v, want 0", name, allocs)
 		}
 		p.Close()
 	}
@@ -310,10 +348,9 @@ func TestPredictorBaselineSharing(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for _, s := range testStatements(20) {
-					if m.Task.IsClassification() {
-						p.PredictClass(s)
-					} else {
-						p.PredictLog(s)
+					if _, err := predict1(context.Background(), p, s, nil); err != nil {
+						t.Error(err)
+						return
 					}
 				}
 			}()

@@ -104,10 +104,8 @@ func (s *statsState) percentiles() (p50, p99 time.Duration) {
 type Stats struct {
 	// Completed is the number of finished predictions.
 	Completed uint64
-	// Batches is the number of micro-batches run; MeanBatch is
-	// Completed/Batches.
-	Batches   uint64
-	MeanBatch float64
+	// Batches is the number of micro-batches run.
+	Batches uint64
 	// Rejected counts requests refused with ErrQueueFull under the
 	// AdmitReject admission policy; Canceled counts requests whose
 	// context expired while they were still queued.
@@ -131,8 +129,6 @@ type Stats struct {
 	// EffectiveBatch is the completed-weighted mean fused-batch width:
 	// the average number of requests that shared a forward pass with
 	// each completed request (1.0 = everything ran the scalar path).
-	// Unlike MeanBatch (requests per worker drain), it reflects the
-	// width of the actual fused matrix compute.
 	EffectiveBatch float64
 	// Widths is the per-width completion histogram with per-width
 	// latency percentiles, sorted by ascending width; widths beyond
@@ -162,9 +158,6 @@ func (p *Predictor) Stats() Stats {
 	}
 	if s.Uptime > 0 {
 		s.Throughput = float64(s.Completed) / s.Uptime.Seconds()
-	}
-	if s.Batches > 0 {
-		s.MeanBatch = float64(s.Completed) / float64(s.Batches)
 	}
 	s.P50, s.P99 = p.stats.percentiles()
 	var weighted, total uint64
@@ -196,8 +189,7 @@ func (p *Predictor) Stats() Stats {
 // String renders the snapshot for logs and load drivers.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"completed=%d throughput=%.0f/s p50=%s p99=%s queue=%d batches=%d mean-batch=%.1f eff-batch=%.1f rejected=%d canceled=%d panics=%d rebuilds=%d uptime=%s",
-		s.Completed, s.Throughput, s.P50, s.P99, s.QueueDepth, s.Batches, s.MeanBatch,
-		s.EffectiveBatch, s.Rejected, s.Canceled, s.Panics, s.Rebuilds,
-		s.Uptime.Round(time.Millisecond))
+		"completed=%d throughput=%.0f/s p50=%s p99=%s queue=%d batches=%d eff-batch=%.1f rejected=%d canceled=%d panics=%d rebuilds=%d uptime=%s",
+		s.Completed, s.Throughput, s.P50, s.P99, s.QueueDepth, s.Batches, s.EffectiveBatch,
+		s.Rejected, s.Canceled, s.Panics, s.Rebuilds, s.Uptime.Round(time.Millisecond))
 }

@@ -134,14 +134,15 @@ func TestChaosCorruptionAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := e.live.Load().pred
-	dst := make([]float64, 0, 8)
+	one := stmts[:1]
+	res := []serve.Result{{Probs: make([]float64, 0, 8)}}
 	for i := 0; i < 8; i++ {
-		if dst, err = pred.ProbsIntoCtx(ctx, stmts[0], dst); err != nil {
+		if err = pred.Predict(ctx, one, res); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		dst, _ = pred.ProbsIntoCtx(ctx, stmts[0], dst)
+		pred.Predict(ctx, one, res)
 	}); allocs != 0 {
 		t.Errorf("post-chaos warm predict allocs/op = %v, want 0", allocs)
 	}

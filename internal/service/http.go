@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -13,12 +14,16 @@ import (
 
 // NewHandler exposes a Service over HTTP/JSON:
 //
-//	POST /v1/predict  {"model","statement"|"statements",["deadline_ms"]}
+//	POST /v1/predict   {"model","statement"|"statements",["deadline_ms"]}
 //	GET  /v1/models
-//	POST /v1/deploy   {"model",["version"],["admission"],["queue_size"],["replicas"]}
+//	POST /v1/deploy    {"model",["version"],["admission"],["queue_size"],["replicas"]}
 //	GET  /v1/stats?model=NAME
 //	GET  /v1/healthz
+//	POST /v1/admin/gc
+//	POST /v1/ingest    {"model","statement",["class"],["value"]}
 //
+// Everything but /v1/predict is mounted from the shared Routes table.
+// Request bodies are capped at MaxRequestBytes (413 beyond it).
 // Request contexts propagate end to end: a client disconnect or a
 // deadline_ms expiry cancels the prediction while it is queued, and
 // admission-control rejections surface as 429s attributed to the
@@ -28,13 +33,36 @@ import (
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) { handlePredict(s, w, r) })
-	mux.HandleFunc("/v1/models", func(w http.ResponseWriter, r *http.Request) { handleModels(s, w, r) })
-	mux.HandleFunc("/v1/deploy", func(w http.ResponseWriter, r *http.Request) { handleDeploy(s, w, r) })
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) { handleStats(s, w, r) })
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) { handleHealthz(s, w, r) })
-	mux.HandleFunc("/v1/admin/gc", func(w http.ResponseWriter, r *http.Request) { handleGC(s, w, r) })
-	mux.HandleFunc("/v1/ingest", func(w http.ResponseWriter, r *http.Request) { handleIngest(s, w, r) })
+	for path, rt := range Routes {
+		mux.HandleFunc(path, rt.handler(s))
+	}
 	return mux
+}
+
+// handler mounts one route: method check, capped body read, the
+// shared Serve, JSON reply.
+func (rt Route) handler(s *Service) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != rt.Method {
+			httpError(w, http.StatusMethodNotAllowed, errors.New(rt.Method+" required"))
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+		if err != nil {
+			err = decodeError(err)
+			httpError(w, StatusFor(err), err)
+			return
+		}
+		reply, err := rt.Serve(s, body, r.URL.Query())
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusOK, reply)
+		case reply != nil:
+			writeStatus(w, StatusFor(err), reply)
+		default:
+			httpError(w, StatusFor(err), err)
+		}
+	}
 }
 
 // RetryAfterSeconds is the backoff hint sent with every 429 and 503 —
@@ -68,8 +96,9 @@ func handlePredict(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+		err = decodeError(err)
+		httpError(w, StatusFor(err), err)
 		return
 	}
 	if req.Model == "" || (req.Statement == "" && len(req.Statements) == 0) {
@@ -96,120 +125,6 @@ func handlePredict(s *Service, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, predictResponse{Results: results})
 }
 
-func handleModels(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Models())
-}
-
-func handleDeploy(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var req DeployRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" {
-		httpError(w, http.StatusBadRequest, errors.New("model required"))
-		return
-	}
-	if err := s.ValidateDeploy(req.DeployOptions); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	info, err := s.Deploy(req.Model, req.Version, req.DeployOptions)
-	if err != nil {
-		httpError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-// handleHealthz serves the shared Health shape. Once a warm boot has
-// run, its Boot field carries the report — loaded/quarantined/skipped
-// counts and the incident log — so an orchestrator (or a human with
-// curl) can tell a clean boot from a degraded one that quarantined
-// artifacts.
-func handleHealthz(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	h, ready := s.Health()
-	if !ready {
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, h)
-		return
-	}
-	writeJSON(w, http.StatusOK, h)
-}
-
-// gcResponse is the /v1/admin/gc body.
-type gcResponse struct {
-	Results []GCResult `json:"results"`
-}
-
-func handleGC(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	results, err := s.GC()
-	if err != nil {
-		httpError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, gcResponse{Results: results})
-}
-
-// handleIngest accepts ground-truth feedback for a served statement
-// (POST /v1/ingest, the HTTP face of Service.Observe): the outcome is
-// appended to the node's ingest log, where the online pipeline's
-// trainers pick it up.
-func handleIngest(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" || req.Statement == "" {
-		httpError(w, http.StatusBadRequest, errors.New("model and statement required"))
-		return
-	}
-	if err := s.Observe(req.Model, req.Statement, req.Class, req.Value); err != nil {
-		httpError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, IngestResponse{OK: true})
-}
-
-func handleStats(s *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	name := r.URL.Query().Get("model")
-	if name == "" {
-		httpError(w, http.StatusBadRequest, errors.New("model query parameter required"))
-		return
-	}
-	snap, err := s.StatsSnapshot(name)
-	if err != nil {
-		httpError(w, StatusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
 // StatusFor maps service and context errors onto HTTP statuses. The
 // binary wire transport ships exactly these codes in its error frames,
 // so the typed-error ↔ sentinel mapping is transport-independent.
@@ -229,24 +144,43 @@ func StatusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
-	case errors.Is(err, ErrClosed), errors.Is(err, serve.ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, serve.ErrClosed), errors.Is(err, errWarmingUp):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, serve.ErrPanicked):
 		// A poisoned input took down one inference, not the pool: the
 		// request fails, the node stays healthy.
 		return http.StatusInternalServerError
-	default:
-		return http.StatusInternalServerError
 	}
+	return requestStatus(err)
+}
+
+// requestStatus maps request-decoding failures: 413 for a body past
+// MaxRequestBytes, 400 for a malformed or invalid one, 500 for
+// anything else. Kept out of StatusFor's switch so the predict error
+// path never pays for errors.As.
+func requestStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.As(err, new(badRequestError)):
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {
-	// Overload and unavailability responses carry the server's pacing
-	// hint; the typed client honors it over its own backoff schedule.
+	writeStatus(w, status, errorResponse{Error: err.Error()})
+}
+
+// writeStatus writes an error-status reply. Overload and
+// unavailability responses carry the server's pacing hint; the typed
+// client honors it over its own backoff schedule.
+func writeStatus(w http.ResponseWriter, status int, v any) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+	writeJSON(w, status, v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

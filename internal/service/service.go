@@ -355,7 +355,7 @@ func (s *Service) Deploy(name string, version int, opts ...DeployOptions) (Model
 	}
 	serveOpts, err := dopts.apply(s.opts.Serve)
 	if err != nil {
-		return ModelInfo{}, fmt.Errorf("service: deploy %q: %w", name, err)
+		return ModelInfo{}, badRequestError{fmt.Errorf("service: deploy %q: %w", name, err)}
 	}
 	e, err := s.entry(name)
 	if err != nil {
@@ -377,44 +377,55 @@ func (s *Service) Deploy(name string, version int, opts ...DeployOptions) (Model
 		return ModelInfo{}, fmt.Errorf("service: deploy %q: version %d is no longer available (quarantined or GC-pruned)",
 			name, version)
 	}
-	// Double-check closed under the entry lock so a pool can never be
-	// born after Close tore the others down.
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return ModelInfo{}, ErrClosed
-	}
-	// Persist intent first: if the marker cannot be written the old
-	// pool keeps serving and the store never claims a deployment that
-	// did not happen. The marker carries the next generation: in a
-	// shared store this is what lets other nodes' SyncStore adopt the
-	// deploy, and what makes this node's own deploys win generation
-	// ties against markers it merely observed.
-	if s.opts.Store != nil {
-		rec, err := json.Marshal(liveRecord{Version: version, Gen: e.gen + 1, DeployOptions: dopts})
-		if err != nil {
-			return ModelInfo{}, fmt.Errorf("service: deploy %q: %w", name, err)
-		}
-		if err := s.opts.Store.Put(liveKey(name), rec); err != nil {
-			return ModelInfo{}, fmt.Errorf("service: deploy %q: persist live marker: %w", name, err)
-		}
-	}
-	e.gen++
-	next := &livePool{
-		version: version,
-		opts:    dopts,
-		pred:    serve.NewPredictor(e.versions[version-1], serveOpts),
-	}
-	prev := e.live.Swap(next)
-	if prev != nil {
-		prev.pred.Close() // drains in-flight requests before returning
+	if err := s.goLiveLocked(e, version, dopts, serveOpts, e.gen+1, true); err != nil {
+		return ModelInfo{}, err
 	}
 	// Retention is enforced at the moment history grows stale — best
 	// effort: a store hiccup during pruning must not undo a deploy that
 	// already succeeded (GC() retries it on demand).
 	s.gcEntryLocked(e)
 	return e.info(version), nil
+}
+
+// goLiveLocked makes version of e live: it starts a fresh replica pool
+// over the snapshot under serveOpts, swaps it in atomically, and
+// drains the previous pool, then records gen as the entry's deployment
+// generation. With persist set (a local Deploy) on a store-backed
+// service, the live marker is written first: if it cannot be, the old
+// pool keeps serving and the store never claims a deployment that did
+// not happen. The marker carries gen — in a shared store this is what
+// lets other nodes' SyncStore adopt the deploy, and what makes this
+// node's own deploys win generation ties against markers it merely
+// observed.
+//
+// Caller holds e.mu. The closed double-check under that lock means no
+// pool is ever born after Close tore the others down.
+func (s *Service) goLiveLocked(e *entry, version int, dopts DeployOptions, serveOpts serve.Options, gen int64, persist bool) error {
+	s.mu.RLock()
+	closed := s.closed
+	s.mu.RUnlock()
+	if closed {
+		return ErrClosed
+	}
+	if persist && s.opts.Store != nil {
+		rec, err := json.Marshal(liveRecord{Version: version, Gen: gen, DeployOptions: dopts})
+		if err != nil {
+			return fmt.Errorf("service: deploy %q: %w", e.name, err)
+		}
+		if err := s.opts.Store.Put(liveKey(e.name), rec); err != nil {
+			return fmt.Errorf("service: deploy %q: persist live marker: %w", e.name, err)
+		}
+	}
+	e.gen = gen
+	prev := e.live.Swap(&livePool{
+		version: version,
+		opts:    dopts,
+		pred:    serve.NewPredictor(e.versions[version-1], serveOpts),
+	})
+	if prev != nil {
+		prev.pred.Close() // drains in-flight requests before returning
+	}
+	return nil
 }
 
 // Swap registers m as a new version and deploys it in one step — the
@@ -443,143 +454,83 @@ func (s *Service) Swap(name string, m *core.Model, opts ...DeployOptions) (Model
 // log- and raw-space values for regression models. ctx bounds the
 // whole request (admission and queueing included).
 func (s *Service) Predict(ctx context.Context, name, stmt string) (Prediction, error) {
-	return s.PredictInto(ctx, name, stmt, nil)
-}
-
-// PredictInto is Predict with caller-owned result storage: for
-// classification models the class distribution is written into probs
-// (grown only when its capacity is insufficient) and the returned
-// Prediction's Probs aliases it. With a capacity-sufficient probs the
-// warm path performs zero allocations — the contract the binary wire
-// transport's hot path is built on. Callers that retain the result
-// across calls must copy Probs.
-func (s *Service) PredictInto(ctx context.Context, name, stmt string, probs []float64) (Prediction, error) {
-	e, err := s.entry(name)
-	if err != nil {
-		return Prediction{}, err
-	}
-	for {
-		lp := e.live.Load()
-		if lp == nil {
-			return Prediction{}, ErrNotDeployed
-		}
-		pr, err := predictOn(ctx, lp, e, stmt, probs)
-		if err == nil {
-			s.sampleIngest(stmt, &pr)
-			return pr, nil
-		}
-		if !errors.Is(err, serve.ErrClosed) {
-			return pr, err
-		}
-		// The pool closed underneath us: a concurrent Deploy swapped it
-		// (retry onto its replacement) or the Service closed (report it).
-		if e.live.Load() == lp {
-			return Prediction{}, ErrClosed
-		}
-	}
-}
-
-// predictOn runs one prediction against a specific live pool, writing
-// classification probabilities into dst (grown as needed).
-func predictOn(ctx context.Context, lp *livePool, e *entry, stmt string, dst []float64) (Prediction, error) {
-	pr := Prediction{Name: e.name, Version: lp.version, Classification: e.task.IsClassification()}
-	if pr.Classification {
-		probs, err := lp.pred.ProbsIntoCtx(ctx, stmt, dst[:0])
-		if err != nil {
-			return Prediction{}, err
-		}
-		pr.Probs = probs
-		pr.Class = argmax(probs)
-		return pr, nil
-	}
-	v, err := lp.pred.PredictLogCtx(ctx, stmt)
-	if err != nil {
-		return Prediction{}, err
-	}
-	pr.Log = v
-	pr.Raw = metrics.InverseLogTransform(v, lp.pred.Model().LogMin)
-	return pr, nil
+	var out [1]Prediction
+	err := s.PredictInto(ctx, name, []string{stmt}, out[:])
+	return out[0], err
 }
 
 // PredictBatch runs one prediction per statement, fanning the work
 // across the live pool's replicas, and returns the results in input
-// order. Like Predict, a batch racing a hot swap retries onto the new
-// pool; a completed batch comes entirely from one snapshot.
+// order.
 func (s *Service) PredictBatch(ctx context.Context, name string, stmts []string) ([]Prediction, error) {
-	e, err := s.entry(name)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		lp := e.live.Load()
-		if lp == nil {
-			return nil, ErrNotDeployed
-		}
-		out, err := predictBatchOn(ctx, lp, e, stmts)
-		if err == nil {
-			for i := range out {
-				s.sampleIngest(stmts[i], &out[i])
-			}
-			return out, nil
-		}
-		if !errors.Is(err, serve.ErrClosed) {
-			return out, err
-		}
-		if e.live.Load() == lp {
-			return nil, ErrClosed
-		}
-	}
-}
-
-// predictBatchOn runs one batch against a specific live pool through
-// the serving layer's concurrent batch methods (enqueue all, then
-// await — the whole replica pool works the batch at once).
-func predictBatchOn(ctx context.Context, lp *livePool, e *entry, stmts []string) ([]Prediction, error) {
 	out := make([]Prediction, len(stmts))
-	if e.task.IsClassification() {
-		probs, err := lp.pred.ProbsBatchCtx(ctx, stmts)
-		if err != nil {
-			return nil, err
-		}
-		for i, p := range probs {
-			out[i] = Prediction{
-				Name: e.name, Version: lp.version, Classification: true,
-				Probs: p, Class: argmax(p),
-			}
-		}
-		return out, nil
-	}
-	logs, err := lp.pred.PredictLogBatchCtx(ctx, stmts)
-	if err != nil {
+	if err := s.PredictInto(ctx, name, stmts, out); err != nil {
 		return nil, err
-	}
-	logMin := lp.pred.Model().LogMin
-	for i, v := range logs {
-		out[i] = Prediction{
-			Name: e.name, Version: lp.version,
-			Log: v, Raw: metrics.InverseLogTransform(v, logMin),
-		}
 	}
 	return out, nil
 }
 
-// PredictClass returns the argmax class of name's live version.
-func (s *Service) PredictClass(ctx context.Context, name, stmt string) (int, error) {
-	pr, err := s.Predict(ctx, name, stmt)
-	if err != nil {
-		return 0, err
+// PredictInto is PredictBatch with caller-owned results: one
+// prediction per statement into out, which must be at least as long
+// as stmts. For classification models each distribution is written
+// into out[i].Probs's backing array (grown only when its capacity is
+// insufficient), so a caller that reuses out — the binary wire
+// transport's hot path — predicts without allocating. On error out
+// is left unchanged.
+//
+// A request racing a hot swap retries onto the new pool, so a deploy
+// drops nothing, and a completed call comes entirely from one
+// snapshot.
+func (s *Service) PredictInto(ctx context.Context, name string, stmts []string, out []Prediction) error {
+	if len(out) < len(stmts) {
+		return fmt.Errorf("service: %d results for %d statements", len(out), len(stmts))
 	}
-	return pr.Class, nil
-}
-
-// PredictRaw returns the original-unit regression prediction of
-// name's live version.
-func (s *Service) PredictRaw(ctx context.Context, name, stmt string) (float64, error) {
-	pr, err := s.Predict(ctx, name, stmt)
+	e, err := s.entry(name)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return pr.Raw, nil
+	var one [1]serve.Result
+	res := one[:]
+	if len(stmts) != 1 {
+		res = make([]serve.Result, len(stmts))
+	}
+	for i := range stmts {
+		res[i].Probs = out[i].Probs
+	}
+	var lp *livePool
+	for {
+		lp = e.live.Load()
+		if lp == nil {
+			return ErrNotDeployed
+		}
+		err := lp.pred.Predict(ctx, stmts, res)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, serve.ErrClosed) {
+			return err
+		}
+		// The pool closed underneath us: a concurrent Deploy swapped it
+		// (retry onto its replacement) or the Service closed (report it).
+		if e.live.Load() == lp {
+			return ErrClosed
+		}
+	}
+	classification := e.task.IsClassification()
+	logMin := lp.pred.Model().LogMin
+	for i, r := range res[:len(stmts)] {
+		pr := Prediction{Name: e.name, Version: lp.version, Classification: classification}
+		if classification {
+			pr.Probs = r.Probs
+			pr.Class = argmax(r.Probs)
+		} else {
+			pr.Log = r.Log
+			pr.Raw = metrics.InverseLogTransform(r.Log, logMin)
+		}
+		out[i] = pr
+		s.sampleIngest(stmts[i], &out[i])
+	}
+	return nil
 }
 
 // sampleIngest appends every IngestEvery-th successful prediction to

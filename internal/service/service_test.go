@@ -346,9 +346,9 @@ func TestRegressionPrediction(t *testing.T) {
 	if pr.Log != m.PredictLog(stmt) || pr.Raw != m.PredictRaw(stmt) {
 		t.Fatalf("log/raw = %v/%v, want %v/%v", pr.Log, pr.Raw, m.PredictLog(stmt), m.PredictRaw(stmt))
 	}
-	raw, err := s.PredictRaw(context.Background(), "rows", stmt)
-	if err != nil || raw != pr.Raw {
-		t.Fatalf("PredictRaw = %v, %v", raw, err)
+	out := make([]Prediction, 1)
+	if err := s.PredictInto(context.Background(), "rows", []string{stmt}, out); err != nil || out[0].Raw != pr.Raw || out[0].Log != pr.Log {
+		t.Fatalf("PredictInto = %+v, %v", out[0], err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/serve"
 )
 
 // This file is the shared-store control plane: nodes that point at the
@@ -252,25 +251,10 @@ func (s *Service) SyncStore() (*SyncReport, error) {
 			rep.detailf("live marker for %q carries bad deploy options: %v", name, err)
 			continue
 		}
-		// Same closed double-check as Deploy: no pool may be born
-		// after Close tore the others down.
-		s.mu.RLock()
-		closed = s.closed
-		s.mu.RUnlock()
-		if closed {
+		if err := s.goLiveLocked(e, rec.Version, rec.DeployOptions, serveOpts, rec.Gen, false); err != nil {
 			e.mu.Unlock()
-			return nil, ErrClosed
+			return nil, err
 		}
-		next := &livePool{
-			version: rec.Version,
-			opts:    rec.DeployOptions,
-			pred:    serve.NewPredictor(e.versions[rec.Version-1], serveOpts),
-		}
-		prev := e.live.Swap(next)
-		if prev != nil {
-			prev.pred.Close() // drains in-flight requests before returning
-		}
-		e.gen = rec.Gen
 		info := e.info(rec.Version)
 		e.mu.Unlock()
 		rep.Applied = append(rep.Applied, info)

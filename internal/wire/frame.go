@@ -31,6 +31,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/service"
 )
 
 // Version is the current protocol version. Both sides reject frames
@@ -46,8 +48,10 @@ const HeaderSize = 20
 
 // DefaultMaxPayload is the payload-length cap applied when a Server or
 // Client is configured with MaxPayload == 0. A frame claiming more
-// than the cap is rejected before any payload-sized allocation.
-const DefaultMaxPayload = 16 << 20
+// than the cap is rejected before any payload-sized allocation. It is
+// the HTTP transport's request body cap, so both listeners bound
+// untrusted input alike.
+const DefaultMaxPayload = service.MaxRequestBytes
 
 // Typed frame decode failures. All are wrapped with context; match
 // with errors.Is. A frame-level failure means the byte stream can no

@@ -249,8 +249,8 @@ func (s *Server) isDraining() bool {
 }
 
 // job carries one decoded request through the handler pool. Its
-// buffers (payload copy, reply frame, probability and statement
-// scratch) are reused across requests via sync.Pool, which is what
+// buffers (payload copy, reply frame, statement views and prediction
+// results) are reused across requests via sync.Pool, which is what
 // keeps the warm predict path allocation-free.
 type job struct {
 	conn *serverConn
@@ -258,14 +258,15 @@ type job struct {
 	id   uint64
 	in   []byte
 	out  []byte
-	// probs is the PredictInto scratch; the reply encoder copies the
-	// values out before the job is recycled.
-	probs []float64
 	// stmts holds batch statement views into in.
 	stmts [][]byte
-	// stmtStrs holds the unsafe string headers over stmts for the
-	// service call.
+	// stmtStrs holds the unsafe string headers over the statements for
+	// the service call.
 	stmtStrs []string
+	// preds receives the predictions, their Probs rows reused across
+	// requests; the reply encoder copies the values out before the job
+	// is recycled.
+	preds []service.Prediction
 }
 
 // handler executes jobs until the jobs channel closes at shutdown.
@@ -294,21 +295,31 @@ func (s *Server) handle(j *job) {
 		s.handlePredict(j)
 	case MsgPredictBatch:
 		s.handlePredictBatch(j)
-	case MsgStats:
-		s.handleStats(j)
-	case MsgHealthz:
-		s.handleHealthz(j)
-	case MsgModels:
-		s.replyJSON(j, s.svc.Models())
-	case MsgDeploy:
-		s.handleDeploy(j)
-	case MsgGC:
-		s.handleGC(j)
-	case MsgIngest:
-		s.handleIngest(j)
 	default:
-		s.replyError(j, http.StatusBadRequest, fmt.Errorf("wire: unhandled request type %s", j.typ))
+		rt, ok := service.Routes[controlPaths[j.typ]]
+		if !ok {
+			s.replyError(j, http.StatusBadRequest, fmt.Errorf("wire: unhandled request type %s", j.typ))
+			return
+		}
+		reply, err := rt.Serve(s.svc, j.in, nil)
+		if err != nil {
+			s.replyError(j, service.StatusFor(err), err)
+			return
+		}
+		s.replyJSON(j, reply)
 	}
+}
+
+// controlPaths maps each control-plane message type onto its entry in
+// service.Routes, so the wire runs exactly the HTTP handler's decode,
+// validation and Service call.
+var controlPaths = map[MsgType]string{
+	MsgModels:  "/v1/models",
+	MsgDeploy:  "/v1/deploy",
+	MsgStats:   "/v1/stats",
+	MsgHealthz: "/v1/healthz",
+	MsgGC:      "/v1/admin/gc",
+	MsgIngest:  "/v1/ingest",
 }
 
 // bstr views b as a string without copying. The view is passed to
@@ -339,21 +350,12 @@ func (s *Server) handlePredict(j *job) {
 		s.replyError(j, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(deadlineMs)
-	pr, err := s.svc.PredictInto(ctx, bstr(model), bstr(stmt), j.probs)
-	if cancel != nil {
-		cancel()
+	j.stmtStrs = append(j.stmtStrs[:0], bstr(stmt))
+	if s.predict(j, bstr(model), deadlineMs) {
+		j.out = beginFrame(j.out[:0], MsgPredictReply, j.id)
+		j.out = appendPredictReply(j.out, &j.preds[0])
+		j.conn.write(endFrame(j.out, 0))
 	}
-	if pr.Probs != nil {
-		j.probs = pr.Probs // keep the (possibly grown) scratch
-	}
-	if err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	j.out = beginFrame(j.out[:0], MsgPredictReply, j.id)
-	j.out = appendPredictReply(j.out, &pr)
-	j.conn.write(endFrame(j.out, 0))
 }
 
 func (s *Server) handlePredictBatch(j *job) {
@@ -367,108 +369,36 @@ func (s *Server) handlePredictBatch(j *job) {
 		s.replyError(j, http.StatusBadRequest, errors.New("wire: empty statement batch"))
 		return
 	}
-	strs := j.stmtStrs[:0]
+	j.stmtStrs = j.stmtStrs[:0]
 	for _, b := range stmts {
-		strs = append(strs, bstr(b))
+		j.stmtStrs = append(j.stmtStrs, bstr(b))
 	}
-	j.stmtStrs = strs
+	if s.predict(j, bstr(model), deadlineMs) {
+		j.out = beginFrame(j.out[:0], MsgPredictBatchReply, j.id)
+		j.out = appendPredictBatchReply(j.out, j.preds[:len(j.stmtStrs)])
+		j.conn.write(endFrame(j.out, 0))
+	}
+}
+
+// predict runs the job's statements through the service into j.preds,
+// reporting success; on failure it has already replied with the typed
+// error.
+func (s *Server) predict(j *job, model string, deadlineMs uint32) bool {
+	n := len(j.stmtStrs)
+	if cap(j.preds) < n {
+		j.preds = append(j.preds[:cap(j.preds)], make([]service.Prediction, n-cap(j.preds))...)
+	}
+	j.preds = j.preds[:n]
 	ctx, cancel := s.requestCtx(deadlineMs)
-	prs, err := s.svc.PredictBatch(ctx, bstr(model), strs)
+	err := s.svc.PredictInto(ctx, model, j.stmtStrs, j.preds)
 	if cancel != nil {
 		cancel()
 	}
 	if err != nil {
 		s.replyError(j, service.StatusFor(err), err)
-		return
+		return false
 	}
-	j.out = beginFrame(j.out[:0], MsgPredictBatchReply, j.id)
-	j.out = appendPredictBatchReply(j.out, prs)
-	j.conn.write(endFrame(j.out, 0))
-}
-
-// statsRequest is the MsgStats JSON payload.
-type statsRequest struct {
-	Model string `json:"model"`
-}
-
-func (s *Server) handleStats(j *job) {
-	var req statsRequest
-	if err := json.Unmarshal(j.in, &req); err != nil {
-		s.replyError(j, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" {
-		s.replyError(j, http.StatusBadRequest, errors.New("wire: stats: model required"))
-		return
-	}
-	snap, err := s.svc.StatsSnapshot(req.Model)
-	if err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	s.replyJSON(j, snap)
-}
-
-func (s *Server) handleHealthz(j *job) {
-	h, ready := s.svc.Health()
-	if !ready {
-		s.replyError(j, http.StatusServiceUnavailable, errors.New("service warming up"))
-		return
-	}
-	s.replyJSON(j, h)
-}
-
-func (s *Server) handleDeploy(j *job) {
-	var req service.DeployRequest
-	if err := json.Unmarshal(j.in, &req); err != nil {
-		s.replyError(j, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" {
-		s.replyError(j, http.StatusBadRequest, errors.New("wire: deploy: model required"))
-		return
-	}
-	if err := s.svc.ValidateDeploy(req.DeployOptions); err != nil {
-		s.replyError(j, http.StatusBadRequest, err)
-		return
-	}
-	info, err := s.svc.Deploy(req.Model, req.Version, req.DeployOptions)
-	if err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	s.replyJSON(j, info)
-}
-
-// gcReply mirrors the HTTP /v1/admin/gc body.
-type gcReply struct {
-	Results []service.GCResult `json:"results"`
-}
-
-func (s *Server) handleGC(j *job) {
-	results, err := s.svc.GC()
-	if err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	s.replyJSON(j, gcReply{Results: results})
-}
-
-func (s *Server) handleIngest(j *job) {
-	var req service.IngestRequest
-	if err := json.Unmarshal(j.in, &req); err != nil {
-		s.replyError(j, http.StatusBadRequest, err)
-		return
-	}
-	if req.Model == "" || req.Statement == "" {
-		s.replyError(j, http.StatusBadRequest, errors.New("wire: ingest: model and statement required"))
-		return
-	}
-	if err := s.svc.Observe(req.Model, req.Statement, req.Class, req.Value); err != nil {
-		s.replyError(j, service.StatusFor(err), err)
-		return
-	}
-	s.replyJSON(j, service.IngestResponse{OK: true})
+	return true
 }
 
 // replyJSON answers a control-plane request (cold path; allocation is

@@ -28,9 +28,9 @@
 //	model, _ := repro.Train("ccnn", repro.AnswerSizePrediction, split.Train, repro.DefaultConfig())
 //	rows := model.PredictRaw("SELECT * FROM PhotoObj WHERE r < 22")
 //
-// For serving, the recommended front door is the Service: a named,
-// versioned registry of immutable model snapshots served by replica
-// pools, with context-aware predictions and zero-downtime hot swaps:
+// For serving, the one front door is the Service: a named, versioned
+// registry of immutable model snapshots served by replica pools, with
+// context-aware predictions and zero-downtime hot swaps:
 //
 //	svc := repro.NewService(repro.ServiceOptions{Serve: repro.ServeOptions{Replicas: 8}})
 //	defer svc.Close()
@@ -39,7 +39,12 @@
 //	defer cancel()
 //	pred, err := svc.Predict(ctx, "answer-size", "SELECT * FROM PhotoObj WHERE r < 22")
 //
-// cmd/serviced exposes the same Service over HTTP/JSON.
+// Predict serves one statement and PredictBatch many; both run through
+// the same single entry into the replica pool, and PredictInto is the
+// variant that writes into caller-owned results without allocating.
+// cmd/serviced exposes the same Service over HTTP/JSON and the binary
+// wire protocol, which answer the control plane (deploy, stats,
+// health, GC, feedback) from one shared route table.
 package repro
 
 import (
@@ -127,27 +132,13 @@ func SplitByUser(items []Item, seed int64) Split {
 	return workload.UserSplit(items, 0.1, 0.1, rand.New(rand.NewSource(seed)))
 }
 
-// Predictor is a concurrent, batched prediction service over a trained
-// Model: a pool of shared-weight inference replicas behind a bounded
-// request queue, returning results bit-identical to direct Model calls.
-type Predictor = serve.Predictor
-
-// ServeOptions configures NewPredictor (replica count, queue size,
-// micro-batching window).
+// ServeOptions is the replica-pool template a Service applies to every
+// deployed version (replica count, queue size, micro-batching window,
+// admission policy).
 type ServeOptions = serve.Options
 
-// ServeStats is a point-in-time snapshot of a Predictor's service
-// metrics (throughput, p50/p99 latency, queue depth).
-type ServeStats = serve.Stats
-
-// NewPredictor wraps a trained model in a concurrent prediction
-// service. Close the predictor to release its workers.
-func NewPredictor(m *Model, opts ServeOptions) *Predictor {
-	return serve.NewPredictor(m, opts)
-}
-
-// AdmissionPolicy selects the full-queue behavior of the context-aware
-// prediction methods.
+// AdmissionPolicy selects what a replica pool does with a prediction
+// that arrives while its queue is full.
 type AdmissionPolicy = serve.AdmissionPolicy
 
 // The admission policies: block (backpressure, the default) or reject
@@ -157,10 +148,9 @@ const (
 	AdmitReject = serve.AdmitReject
 )
 
-// Serving-layer sentinel errors of the context-aware methods.
+// Serving-layer sentinel errors.
 var (
-	// ErrClosed is returned for predictions against a closed Predictor
-	// or Service.
+	// ErrClosed is returned for operations on a closed Service.
 	ErrClosed = serve.ErrClosed
 	// ErrQueueFull is returned under AdmitReject when the request queue
 	// is full at enqueue time.
@@ -178,7 +168,7 @@ var (
 	ErrPanicked = serve.ErrPanicked
 )
 
-// Service is the deployment layer over Predictor pools: a named,
+// Service is the deployment layer over replica pools: a named,
 // versioned registry of immutable model snapshots (Register/Deploy/
 // Swap) with context-aware predictions, zero-downtime hot swaps, and —
 // with a Store configured — durable artifacts that survive restarts
@@ -307,10 +297,9 @@ var (
 type BreakerStats = client.BreakerStats
 
 // FineTune continues training a neural model on a new workload (the
-// transfer-learning extension of Section 8). Do not fine-tune a model
-// while a Predictor built directly on it serves it — replicas alias
-// its weights. A Service has no such hazard: it deploys immutable
-// snapshots, so the FineTune → Swap cycle is safe under live traffic.
+// transfer-learning extension of Section 8). A Service deploys
+// immutable snapshots, so the FineTune → Swap cycle is safe under live
+// traffic.
 func FineTune(m *Model, train []Item, cfg Config) (*Model, error) {
 	return core.FineTune(m, train, cfg)
 }
