@@ -3,11 +3,37 @@
 // matrix–vector products, the small GEMM shapes used by the
 // sequence-level LSTM input transform, and the vectorized
 // transcendentals (ExpV, TanhV, SigmoidV — see vecmath.go) behind the
-// batched gate nonlinearities. The kernels are plain Go —
-// no assembly, no unsafe — but are written for throughput on modern
-// cores: 4-way unrolled inner loops with independent accumulator
-// lanes (breaking the loop-carried add dependency) and slice
-// re-slicing hints that let the compiler hoist bounds checks.
+// batched gate nonlinearities. Every kernel has a pure-Go body,
+// written for throughput on modern cores: 4-way unrolled inner loops
+// with independent accumulator lanes (breaking the loop-carried add
+// dependency) and slice re-slicing hints that let the compiler hoist
+// bounds checks.
+//
+// # AVX2 kernels
+//
+// The kernels every forward pass runs also have AVX2 bodies in Go
+// assembly (kernels_amd64.s): the 4-term block update inside GemmSW
+// (and so GemmS and Gemm), and the 4-lane blocks of TanhV and
+// SigmoidV. They are chosen once per process: at package
+// initialisation CPUID reports whether the CPU implements AVX and
+// AVX2, and XGETBV whether the OS saves the YMM registers. The
+// GOAMD64 level plays no part, so a GOAMD64=v1 binary uses them too;
+// there is no flag, environment variable or build tag. Everywhere
+// else — other architectures, CPUs without AVX2, and the lanes and
+// tails the assembly leaves to Go (NaN, |x| beyond the fast ranges,
+// w%4 columns, k%4 terms) — the pure-Go body runs.
+//
+// Each 64-bit vector lane performs the same IEEE-754 operations as
+// the Go code, in the same order: VMULPD, VADDPD, VSUBPD and VDIVPD
+// round exactly like their scalar forms, VROUNDPD is math.Floor, and
+// 2^k is built from integer bits as the Go code builds it. There is
+// no FMA: a fused multiply-add rounds once where the Go code rounds
+// twice, so it would change results. The Go compiler emits no FMA
+// for these kernels on amd64 at any GOAMD64 level either. Hence every
+// output is bit-identical with and without AVX2, on every amd64 CPU;
+// the package tests compare the two bodies bit for bit. (On other
+// architectures the Go spec lets the compiler fuse a multiply and an
+// add, so bits can differ across architectures.)
 //
 // # Determinism
 //
@@ -21,7 +47,7 @@
 // sequentially in increasing index order, and leftover rows/terms
 // fall back to Dot or Axpy. In every case the order is a pure
 // function of the operand shapes — never of slice capacity,
-// alignment, or build flags — so results are bit-identical
+// alignment, build flags or CPU — so results are bit-identical
 // run-to-run and across call sites: direct and pooled inference
 // agree exactly because both route through these kernels.
 //
@@ -239,7 +265,16 @@ func GemmS(c, a []float64, lda int, b []float64, m, n, k int) {
 // terms: C[:, :w] is bit-identical to the same columns of the
 // full-width product. This is what lets the batched LSTM shrink a
 // ragged batch's working width as short lanes finish.
+//
+// On AVX2 CPUs the 4-term blocks of columns [0, w&^3) run in assembly
+// (kernels_amd64.s); the result is bit-identical to gemmSWGo.
 func GemmSW(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, w, k int) {
+	gemmSW(c, ldc, a, lda, b, ldb, m, w, k)
+}
+
+// gemmSWGo is the pure-Go GemmSW: the fallback where AVX2 is absent and
+// the reference the assembly is tested against.
+func gemmSWGo(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, w, k int) {
 	for i := 0; i < m; i++ {
 		ci := c[i*ldc : i*ldc+w]
 		ai := a[i*lda : i*lda+k]

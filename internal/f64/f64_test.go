@@ -332,7 +332,9 @@ func TestGemmTN(t *testing.T) {
 }
 
 func TestRandomizedAgainstNaive(t *testing.T) {
-	// One fuzz-style sweep across all kernels with random sizes 0..257.
+	// One fuzz-style sweep with random sizes: Dot and Axpy over
+	// 0..257, GemmSW (strided, column prefix) and GemmTN over
+	// 0..40 per dimension.
 	rng := rand.New(rand.NewSource(12))
 	for iter := 0; iter < 200; iter++ {
 		n := rng.Intn(258)
@@ -349,6 +351,43 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 		for i := range want {
 			if !close(y[i], want[i]) {
 				t.Fatalf("iter %d n=%d: Axpy[%d]", iter, n, i)
+			}
+		}
+
+		m, w, k := rng.Intn(41), rng.Intn(41), rng.Intn(41)
+		ldc, lda, ldb := w+rng.Intn(5), k+rng.Intn(5), w+rng.Intn(5)
+		am, bm := randVec(rng, m*lda), randVec(rng, k*ldb)
+		c := randVec(rng, m*ldc)
+		want = append(want[:0], c...)
+		for i := 0; i < m; i++ {
+			for j := 0; j < w; j++ {
+				for l := 0; l < k; l++ {
+					want[i*ldc+j] += am[i*lda+l] * bm[l*ldb+j]
+				}
+			}
+		}
+		GemmSW(c, ldc, am, lda, bm, ldb, m, w, k)
+		for i := range want {
+			if !close(c[i], want[i]) {
+				t.Fatalf("iter %d m=%d w=%d k=%d: GemmSW[%d] = %v, naive %v", iter, m, w, k, i, c[i], want[i])
+			}
+		}
+
+		at := randVec(rng, k*m)
+		bt := randVec(rng, k*w)
+		c = randVec(rng, m*w)
+		want = append(want[:0], c...)
+		for i := 0; i < m; i++ {
+			for j := 0; j < w; j++ {
+				for l := 0; l < k; l++ {
+					want[i*w+j] += at[l*m+i] * bt[l*w+j]
+				}
+			}
+		}
+		GemmTN(c, at, bt, m, w, k)
+		for i := range want {
+			if !close(c[i], want[i]) {
+				t.Fatalf("iter %d m=%d n=%d k=%d: GemmTN[%d] = %v, naive %v", iter, m, w, k, i, c[i], want[i])
 			}
 		}
 	}

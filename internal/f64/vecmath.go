@@ -246,16 +246,23 @@ func ExpV(dst, x []float64) {
 	}
 }
 
-// TanhV computes dst[i] = tanh(x[i]) for i < len(x). When four
-// consecutive elements take the same tanh1 branch (all small-argument
-// polynomial, or all exp-based), the block runs as four interleaved
-// inline chains — the per-element formulas are exactly tanh1's, but
-// the four serial poly→divide dependency chains overlap, so the
-// divisions pipeline instead of serializing behind a call boundary.
-// Mixed or fringe blocks fall back to tanh1 per element, which keeps
-// every element bit-identical to the scalar path regardless of its
-// neighbors. dst may alias x elementwise (in-place gate activation).
+// TanhV computes dst[i] = tanh(x[i]) for i < len(x); every element is
+// bit-identical to tanh1(x[i]). dst may alias x elementwise (in-place
+// gate activation). On AVX2 CPUs the 4-lane blocks run in assembly
+// (kernels_amd64.s); everywhere else tanhVGo runs.
 func TanhV(dst, x []float64) {
+	tanhV(dst, x)
+}
+
+// tanhVGo is the pure-Go TanhV. When four consecutive elements take
+// the same tanh1 branch (all small-argument polynomial, or all
+// exp-based), the block runs as four interleaved inline chains — the
+// per-element formulas are exactly tanh1's, but the four serial
+// poly→divide dependency chains overlap, so the divisions pipeline
+// instead of serializing behind a call boundary. Mixed or fringe
+// blocks fall back to tanh1 per element, which keeps every element
+// bit-identical to the scalar path regardless of its neighbors.
+func tanhVGo(dst, x []float64) {
 	n := len(x)
 	if n == 0 {
 		return
@@ -328,15 +335,23 @@ func TanhV(dst, x []float64) {
 	}
 }
 
-// SigmoidV computes dst[i] = 1/(1+exp(−x[i])) for i < len(x). Both
-// sign branches of sigmoid1 reduce through the same expRat(−|x|) call
-// and share the denominator den + s·num — only the numerator differs
-// (den for x ≥ 0, s·num for x < 0) — so one fast path with four
-// interleaved inline chains covers every |x| ≤ expFastCut regardless
-// of sign, with a per-lane numerator select. Fringe blocks (NaN or
-// |x| > expFastCut) fall back to sigmoid1 per element; every element
-// stays bit-identical to the scalar path. dst may alias x elementwise.
+// SigmoidV computes dst[i] = 1/(1+exp(−x[i])) for i < len(x); every
+// element is bit-identical to sigmoid1(x[i]). dst may alias x
+// elementwise. On AVX2 CPUs the 4-lane blocks run in assembly
+// (kernels_amd64.s); everywhere else sigmoidVGo runs.
 func SigmoidV(dst, x []float64) {
+	sigmoidV(dst, x)
+}
+
+// sigmoidVGo is the pure-Go SigmoidV. Both sign branches of sigmoid1
+// reduce through the same expRat(−|x|) call and share the denominator
+// den + s·num — only the numerator differs (den for x ≥ 0, s·num for
+// x < 0) — so one fast path with four interleaved inline chains covers
+// every |x| ≤ expFastCut regardless of sign, with a per-lane numerator
+// select. Fringe blocks (NaN or |x| > expFastCut) fall back to
+// sigmoid1 per element; every element stays bit-identical to the
+// scalar path.
+func sigmoidVGo(dst, x []float64) {
 	n := len(x)
 	if n == 0 {
 		return

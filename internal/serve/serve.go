@@ -424,6 +424,7 @@ func (p *Predictor) worker(w int) {
 					p.stats.rebuilds.Add(1)
 					panics = 0
 				}
+				r.done <- struct{}{}
 			}
 		}
 	}
@@ -546,10 +547,11 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// process runs one request on a replica and signals completion,
-// reporting whether the inference panicked. All accounting happens
-// before the done signal: a caller that observed its request finish
-// must find it reflected in Stats.
+// process runs one request on a replica, reporting whether the
+// inference panicked. It signals completion itself only on success; a
+// panicked request is signalled by the worker once its rebuild strike
+// is counted. All accounting happens before the done signal: a caller
+// that observed its request finish must find it reflected in Stats.
 //
 // The recover boundary is here, around exactly one request: a model
 // panic (poisoned input, corrupted scratch) fails that request with a
@@ -564,7 +566,6 @@ func (p *Predictor) process(rep *core.Model, ring *latRing, r *request) (panicke
 			r.err = fmt.Errorf("%w: %v", ErrPanicked, v)
 			p.stats.panics.Add(1)
 			ring.record(time.Since(r.enq))
-			r.done <- struct{}{}
 		}
 	}()
 	if p.classify {
