@@ -558,114 +558,46 @@ func (c *Client) PredictInto(ctx context.Context, model, statement string, probs
 	if c.opts.Hedge > 0 {
 		// Hedging races goroutines and cannot share one probs buffer;
 		// it allocates by nature.
-		v, err := c.runOpHedged(ctx, model, "/v1/predict", func(ctx context.Context, n *node) (any, error) {
+		pr, err := runOpHedged(c, ctx, model, "/v1/predict", func(ctx context.Context, n *node) (Prediction, error) {
 			if n.wire != nil {
 				pr, err := n.wire.Predict(ctx, model, statement)
 				return pr, wireErr(err)
 			}
 			return n.predictHTTP(ctx, model, statement, c.deadlineMs())
 		})
-		if err != nil {
-			return Prediction{}, probs, err
-		}
-		return v.(Prediction), probs, nil
+		return pr, probs, err
 	}
-
-	// Unhedged path: a typed retry/failover loop with no closures and
-	// no interface boxing, mirroring runOp exactly. The duplication is
-	// the price of the 0-alloc contract.
-	order := c.route(model)
-	defer c.putRoute(order)
-	retries := c.opts.Retries
-	var lastErr, shortErr error
-	retried, shorts, pos := 0, 0, 0
-	for {
-		idx := (*order)[pos%len(*order)]
-		n := c.nodes[idx]
-		pr, out, err := c.predictOnce(ctx, n, model, statement, probs)
-		probs = out
-		if err == nil {
-			n.served.Add(1)
-			if pos > 0 {
-				n.failovers.Add(1)
-			}
-			return pr, probs, nil
+	// The closure does not escape runOp, so neither it nor probs moves
+	// to the heap: the warm wire path stays allocation-free.
+	pr, err := runOp(c, ctx, model, "/v1/predict", true, func(ctx context.Context, n *node) (Prediction, error) {
+		if n.wire != nil {
+			pr, out, err := n.wire.PredictInto(ctx, model, statement, probs)
+			probs = out
+			return pr, wireErr(err)
 		}
-		if errors.Is(err, ErrCircuitOpen) {
-			shortErr = err
-			shorts++
-			if shorts >= len(*order) || ctx.Err() != nil {
-				break
-			}
-			pos++
-			continue
-		}
-		shorts = 0
-		lastErr = err
-		if retried >= retries || !isRetryable(err) || ctx.Err() != nil {
-			break
-		}
-		pos++
-		if c.failoverPause(ctx, *order, pos, err, retried) != nil {
-			break
-		}
-		retried++
-	}
-	if lastErr == nil {
-		lastErr = shortErr
-	}
-	return Prediction{}, probs, lastErr
-}
-
-// predictOnce is one typed predict attempt against one node, under its
-// breaker and the per-attempt timeout.
-func (c *Client) predictOnce(ctx context.Context, n *node, model, statement string, probs []float64) (Prediction, []float64, error) {
-	br := c.breakerFor(n, "/v1/predict")
-	if br != nil {
-		if err := br.allow(c.now(), c.opts.BreakerCooldown); err != nil {
-			return Prediction{}, probs, err
-		}
-	}
-	outer := ctx
-	if c.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.Timeout)
-		defer cancel()
-	}
-	var pr Prediction
-	var err error
-	if n.wire != nil {
-		pr, probs, err = n.wire.PredictInto(ctx, model, statement, probs)
-		err = wireErr(err)
-	} else {
-		var v any
-		v, err = n.predictHTTP(ctx, model, statement, c.deadlineMs())
-		if err == nil {
-			pr = v.(Prediction)
-		}
-	}
-	c.recordBreaker(br, outer, err)
+		return n.predictHTTP(ctx, model, statement, c.deadlineMs())
+	})
 	return pr, probs, err
 }
 
 // predictHTTP is one single-statement predict over a node's HTTP
 // transport (the JSON round trip allocates; the 0-alloc contract is
 // the wire transport's).
-func (n *node) predictHTTP(ctx context.Context, model, statement string, deadlineMs int) (any, error) {
+func (n *node) predictHTTP(ctx context.Context, model, statement string, deadlineMs int) (Prediction, error) {
 	body, err := marshalBody(predictRequest{Model: model, Statement: statement, DeadlineMs: deadlineMs})
 	if err != nil {
-		return nil, err
+		return Prediction{}, err
 	}
 	data, err := n.attempt(ctx, http.MethodPost, "/v1/predict", body)
 	if err != nil {
-		return nil, err
+		return Prediction{}, err
 	}
 	var resp predictResponse
 	if err := unmarshalBody(data, &resp); err != nil {
-		return nil, err
+		return Prediction{}, err
 	}
 	if len(resp.Results) != 1 {
-		return nil, fmt.Errorf("client: predict returned %d results for 1 statement", len(resp.Results))
+		return Prediction{}, fmt.Errorf("client: predict returned %d results for 1 statement", len(resp.Results))
 	}
 	return resp.Results[0], nil
 }
@@ -677,7 +609,7 @@ func (c *Client) PredictBatch(ctx context.Context, model string, statements []st
 		return nil, nil
 	}
 	var body []byte
-	v, err := c.runOpHedged(ctx, model, "/v1/predict", func(ctx context.Context, n *node) (any, error) {
+	out, err := runOpHedged(c, ctx, model, "/v1/predict", func(ctx context.Context, n *node) ([]Prediction, error) {
 		if n.wire != nil {
 			prs, err := n.wire.PredictBatch(ctx, model, statements)
 			return prs, wireErr(err)
@@ -702,7 +634,6 @@ func (c *Client) PredictBatch(ctx context.Context, model string, statements []st
 	if err != nil {
 		return nil, err
 	}
-	out := v.([]Prediction)
 	if len(out) != len(statements) {
 		return nil, fmt.Errorf("client: predict returned %d results for %d statements",
 			len(out), len(statements))
@@ -765,7 +696,7 @@ func (c *Client) Feedback(ctx context.Context, model, statement string, class in
 // ring-preferred node. Stats are per node, not cluster-aggregated.
 func (c *Client) Stats(ctx context.Context, model string) (ModelStats, error) {
 	var st ModelStats
-	v, err := c.runOp(ctx, model, "/v1/stats", true, func(ctx context.Context, n *node) (any, error) {
+	data, err := runOp(c, ctx, model, "/v1/stats", true, func(ctx context.Context, n *node) ([]byte, error) {
 		if n.wire != nil {
 			body, err := marshalBody(service.StatsRequest{Model: model})
 			if err != nil {
@@ -779,7 +710,7 @@ func (c *Client) Stats(ctx context.Context, model string) (ModelStats, error) {
 	if err != nil {
 		return st, err
 	}
-	return st, unmarshalBody(v.([]byte), &st)
+	return st, unmarshalBody(data, &st)
 }
 
 // GCResult is one model's outcome of a retention pass, as served by
@@ -843,8 +774,10 @@ func (c *Client) WaitReady(ctx context.Context) error {
 // opFunc is one transport attempt against one node: an HTTP round trip
 // or a wire protocol exchange. The retry, hedging, failover, and
 // breaker layers below are written against this shape, so both
-// transports share one policy implementation and cannot drift.
-type opFunc func(ctx context.Context, n *node) (any, error)
+// transports share one policy implementation and cannot drift. T is
+// the attempt's result: typed, not boxed, so the wire predict path
+// runs through the same loop without allocating.
+type opFunc[T any] func(ctx context.Context, n *node) (T, error)
 
 // route returns the failover order for key as a pooled slice of node
 // indices: ring order, stably partitioned so nodes the prober believes
@@ -892,7 +825,7 @@ func (c *Client) failoverPause(ctx context.Context, order []int, pos int, err er
 // retryable failure advances to the next node (consuming budget), an
 // open breaker skips to the next node without consuming budget, and a
 // full cycle of short-circuits fails fast with ErrCircuitOpen.
-func (c *Client) runOp(ctx context.Context, key, endpoint string, retryable bool, op opFunc) (any, error) {
+func runOp[T any](c *Client, ctx context.Context, key, endpoint string, retryable bool, op opFunc[T]) (T, error) {
 	order := c.route(key)
 	defer c.putRoute(order)
 	retries := c.opts.Retries
@@ -904,7 +837,7 @@ func (c *Client) runOp(ctx context.Context, key, endpoint string, retryable bool
 	for {
 		idx := (*order)[pos%len(*order)]
 		n := c.nodes[idx]
-		v, err := c.opOnce(ctx, n, endpoint, op)
+		v, err := opOnce(c, ctx, n, endpoint, op)
 		if err == nil {
 			n.served.Add(1)
 			if pos > 0 {
@@ -939,14 +872,15 @@ func (c *Client) runOp(ctx context.Context, key, endpoint string, retryable bool
 	if lastErr == nil {
 		lastErr = shortErr
 	}
-	return nil, lastErr
+	var zero T
+	return zero, lastErr
 }
 
 // call performs one control-plane API call (both transports answer
 // with the same JSON document) with the client's retry budget when
 // retryable.
 func (c *Client) call(ctx context.Context, key, method string, t wire.MsgType, path string, body []byte, out any, retryable bool) error {
-	v, err := c.runOp(ctx, key, path, retryable, func(ctx context.Context, n *node) (any, error) {
+	data, err := runOp(c, ctx, key, path, retryable, func(ctx context.Context, n *node) ([]byte, error) {
 		if n.wire != nil {
 			data, err := n.wire.Call(ctx, t, body)
 			return data, wireErr(err)
@@ -956,7 +890,7 @@ func (c *Client) call(ctx context.Context, key, method string, t wire.MsgType, p
 	if err != nil {
 		return err
 	}
-	return unmarshalBody(v.([]byte), out)
+	return unmarshalBody(data, out)
 }
 
 // retryDelay picks the pause before the next attempt: the server's
@@ -975,9 +909,9 @@ func retryDelay(err error, backoff time.Duration) time.Duration {
 // key's route when the cluster has one — cross-replica tail insurance
 // — and an open breaker on the primary launches the alternate
 // immediately instead of waiting out the hedge delay.
-func (c *Client) runOpHedged(ctx context.Context, key, endpoint string, op opFunc) (any, error) {
+func runOpHedged[T any](c *Client, ctx context.Context, key, endpoint string, op opFunc[T]) (T, error) {
 	if c.opts.Hedge <= 0 {
-		return c.runOp(ctx, key, endpoint, true, op)
+		return runOp(c, ctx, key, endpoint, true, op)
 	}
 	order := c.route(key)
 	primary := c.nodes[(*order)[0]]
@@ -990,12 +924,12 @@ func (c *Client) runOpHedged(ctx context.Context, key, endpoint string, op opFun
 	defer cancel() // reels the losing racer in
 	type result struct {
 		n   *node
-		v   any
+		v   T
 		err error
 	}
 	results := make(chan result, 2)
 	attempt := func(n *node) {
-		v, err := c.opOnce(ctx, n, endpoint, op)
+		v, err := opOnce(c, ctx, n, endpoint, op)
 		results <- result{n, v, err}
 	}
 	go attempt(primary)
@@ -1035,18 +969,20 @@ func (c *Client) runOpHedged(ctx context.Context, key, endpoint string, op opFun
 			}
 		}
 	}
-	return nil, firstErr
+	var zero T
+	return zero, firstErr
 }
 
 // opOnce performs a single attempt against one node, applying the
 // per-attempt timeout and the node's endpoint circuit breaker. While
 // the breaker is open the attempt fails with ErrCircuitOpen before any
 // network I/O.
-func (c *Client) opOnce(ctx context.Context, n *node, endpoint string, op opFunc) (any, error) {
+func opOnce[T any](c *Client, ctx context.Context, n *node, endpoint string, op opFunc[T]) (T, error) {
 	br := c.breakerFor(n, endpoint)
 	if br != nil {
 		if err := br.allow(c.now(), c.opts.BreakerCooldown); err != nil {
-			return nil, err
+			var zero T
+			return zero, err
 		}
 	}
 	outer := ctx

@@ -21,8 +21,8 @@ import (
 // asserts the survival contract: no acked deploy is ever lost, no
 // prediction ever mixes versions, damage degrades a node instead of
 // killing it, and the warm path stays allocation-free through it all.
-// Every test runs under -race in CI (the smoke step runs exactly
-// `-run TestChaos`).
+// Every test runs under -race in CI (the smoke step runs them with the
+// TestWarmBoot, TestSync and TestPersistenceRestart tests, -count=3).
 
 // TestChaosCorruptionAcrossRestart is the headline acceptance scenario:
 // three deployed models go down in a "crash", one of the three
@@ -281,6 +281,42 @@ func TestChaosPartialWriteAtBoot(t *testing.T) {
 	}
 	if len(rep.Deployed) != 1 || rep.Deployed[0].LiveVersion != 1 {
 		t.Fatalf("restart deployed %+v, want v1 live", rep.Deployed)
+	}
+}
+
+// TestWarmBootStoreReadFailure: a store that fails a read at boot is
+// an infrastructure fault, not data damage. WarmBoot returns the
+// error, the node never turns ready, and /v1/healthz answers 503.
+func TestWarmBootStoreReadFailure(t *testing.T) {
+	mem := NewMemStore()
+	s1 := New(Options{Serve: serve.Options{Replicas: 1}, Store: mem})
+	if _, err := s1.WarmBoot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Swap("errors", trainCCNN(t, core.ErrorClassification)); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+
+	inj := faults.NewInjector(3)
+	inj.Add(faults.Rule{Op: faults.OpGet, KeyPrefix: "v1/"})
+	s2 := New(Options{Serve: serve.Options{Replicas: 1}, Store: faults.NewStore(mem, inj)})
+	defer s2.Close()
+	if _, err := s2.WarmBoot(); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("WarmBoot over a failing store err = %v, want ErrInjected", err)
+	}
+	if s2.Ready() {
+		t.Fatal("node turned ready after a failed boot")
+	}
+	srv := httptest.NewServer(NewHandler(s2))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("healthz after failed boot = %d, want 503", resp.StatusCode)
 	}
 }
 

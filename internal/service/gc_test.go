@@ -161,3 +161,48 @@ func (s *failingDeleteStore) Delete(key string) error {
 	}
 	return s.Store.Delete(key)
 }
+
+// TestWarmBootRetention: a boot enforces Retain on every model it
+// deploys. With Retain 1 and v2 of three live, v3 (the newest) and v2
+// (live) survive; v1 is pruned from memory and from the store.
+func TestWarmBootRetention(t *testing.T) {
+	store := NewMemStore()
+	s1 := New(Options{Serve: serve.Options{Replicas: 1}, Store: store})
+	if _, err := s1.WarmBoot(); err != nil {
+		t.Fatal(err)
+	}
+	m := trainCCNN(t, core.ErrorClassification)
+	for i := 0; i < 3; i++ {
+		if _, err := s1.Register("errors", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s1.Deploy("errors", 2); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+
+	s2 := New(Options{Serve: serve.Options{Replicas: 1}, Store: store, Retain: 1})
+	defer s2.Close()
+	rep, err := s2.WarmBoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Deployed) != 1 || rep.Deployed[0].LiveVersion != 2 || rep.Deployed[0].Available != 2 {
+		t.Fatalf("boot deployed %+v, want v2 live with 2 versions available", rep.Deployed)
+	}
+	if models := s2.Models(); len(models) != 1 || models[0].Versions != 3 || models[0].Available != 2 {
+		t.Fatalf("models after boot = %+v, want versions=3 available=2", models)
+	}
+	if _, err := s2.VersionModel("errors", 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("pruned v1 still in memory: %v", err)
+	}
+	if _, err := store.Get(artifactKey("errors", 1)); !errors.Is(err, ErrNoKey) {
+		t.Fatalf("pruned v1 still in the store: %v", err)
+	}
+	for _, v := range []int{2, 3} {
+		if _, err := store.Get(artifactKey("errors", v)); err != nil {
+			t.Fatalf("retained v%d missing from the store: %v", v, err)
+		}
+	}
+}

@@ -206,10 +206,10 @@ type entry struct {
 	live     atomic.Pointer[livePool]
 	// gen is the generation of the entry's current deployment — the
 	// cluster tie-breaker. A local Deploy persists gen+1 in its live
-	// marker; SyncStore applies a marker observed in a shared store only
-	// when its generation exceeds this one, so a node's own explicit
-	// deploys win ties against anything it merely observed. Guarded by
-	// mu.
+	// marker; once the entry serves, the store replay applies a marker
+	// observed in a shared store only when its generation exceeds this
+	// one, so a node's own explicit deploys win ties against anything
+	// it merely observed. Guarded by mu.
 	gen int64
 }
 
@@ -807,7 +807,8 @@ func liveKey(name string) string { return "live/" + name }
 
 // parseKey classifies a store key: an artifact key yields (name,
 // version, true, true); a live marker yields (name, 0, false, true).
-// Foreign keys report ok == false and are ignored by WarmBoot.
+// Foreign and quarantined keys report ok == false and are skipped by
+// the store replay.
 func parseKey(key string) (name string, version int, isArtifact, ok bool) {
 	head, rest, found := strings.Cut(key, "/")
 	if !found || rest == "" {
@@ -835,8 +836,8 @@ type liveRecord struct {
 	DeployOptions
 }
 
-// quarantinePrefix parks blobs the boot path classified as damaged.
-// Quarantined keys are invisible to parseKey (so later boots ignore
+// quarantinePrefix parks blobs the store replay classified as damaged.
+// Quarantined keys are invisible to parseKey (so later passes skip
 // them) but preserved verbatim for offline forensics.
 const quarantinePrefix = "quarantine/"
 
@@ -867,230 +868,74 @@ type BootReport struct {
 	Details []string `json:"details,omitempty"`
 }
 
-// detailf appends one incident line.
-func (r *BootReport) detailf(format string, args ...any) {
-	r.Degraded = true
-	r.Details = append(r.Details, fmt.Sprintf(format, args...))
-}
-
 // BootReport returns the report of the completed WarmBoot, or nil if
 // no warm boot has run.
 func (s *Service) BootReport() *BootReport {
 	return s.boot.Load()
 }
 
-// quarantine moves a damaged blob under the quarantine prefix (best
-// effort: on failure the blob stays put and the next boot retries).
-func (s *Service) quarantine(rep *BootReport, key string, data []byte, why error) {
-	rep.Quarantined++
-	rep.detailf("quarantined %q: %v", key, why)
-	for _, incident := range quarantineBlob(s.opts.Store, key, data) {
-		rep.detailf("%s", incident)
-	}
-}
-
-// quarantineBlob parks one damaged blob under the quarantine prefix,
-// returning incident lines for anything that went wrong doing so (the
-// blob then stays put and the next boot or sync retries). Shared by
-// WarmBoot and SyncStore so mid-sync damage gets exactly the boot
-// path's semantics.
-func quarantineBlob(store Store, key string, data []byte) []string {
-	if err := store.Put(quarantinePrefix+key, data); err != nil {
-		return []string{fmt.Sprintf("quarantine move of %q failed, blob left in place: %v", key, err)}
-	}
-	if err := store.Delete(key); err != nil {
-		return []string{fmt.Sprintf("quarantine delete of original %q failed: %v", key, err)}
-	}
-	return nil
-}
-
-// WarmBoot replays the configured store into an empty registry: every
-// persisted version is decoded (checksums verified) and reinstalled
-// under its original version number, and each model's recorded live
-// deployment is restarted with its recorded options. On success the
-// service reports Ready. Models never deployed stay registered but
-// cold, exactly as before the restart; rollback to any persisted
-// version keeps working because all intact versions are reloaded, not
-// just the live ones.
+// WarmBoot replays the configured store into an empty registry: it is
+// one SyncStore pass, so every persisted version is decoded (checksums
+// verified) and reinstalled under its original version number, and
+// each model's recorded live deployment is restarted with its recorded
+// options at its recorded generation. On success the service reports
+// Ready. Models never deployed stay registered but cold, exactly as
+// before the restart; rollback to any persisted version keeps working
+// because all intact versions are reloaded, not just the live ones.
 //
 // WarmBoot survives damage instead of dying of it. A corrupt,
 // truncated, or mislabeled artifact is moved under the quarantine/
 // prefix and its version becomes a permanent hole; the rest of the
-// model's history still loads. A corrupt live marker — or one pointing
-// at a quarantined version — falls back to the model's highest intact
-// version. Only infrastructure failures (the store itself erroring)
-// abort the boot; data damage degrades it, and the BootReport says
-// exactly how.
+// model's history still loads. A live marker that is corrupt, or that
+// could not be applied (it names a quarantined version), falls back to
+// the model's highest intact version. Only infrastructure failures
+// (the store itself erroring) abort the boot; data damage degrades it,
+// and the BootReport says exactly how. Retention (Options.Retain) is
+// enforced on every model the boot deploys.
 //
 // Without a store WarmBoot only flips the service ready. It must run
 // before the first Register (the registry must be empty so persisted
 // version numbers cannot collide with fresh ones).
 func (s *Service) WarmBoot() (*BootReport, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.mu.RLock()
+	closed, n := s.closed, len(s.entries)
+	s.mu.RUnlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if len(s.entries) != 0 {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("service: warm boot requires an empty registry (%d entries present)", len(s.entries))
+	if n != 0 {
+		return nil, fmt.Errorf("service: warm boot requires an empty registry (%d entries present)", n)
 	}
-	s.mu.Unlock()
 	rep := &BootReport{}
-	if s.opts.Store == nil {
-		s.ready.Store(true)
-		s.boot.Store(rep)
-		return rep, nil
-	}
-	keys, err := s.opts.Store.List()
-	if err != nil {
-		return nil, fmt.Errorf("service: warm boot: %w", err)
-	}
-	versions := make(map[string][]int)
-	live := make(map[string]liveRecord)
-	corruptMarker := make(map[string]bool)
-	for _, key := range keys {
-		if strings.HasPrefix(key, quarantinePrefix) {
-			rep.Skipped++ // parked by an earlier boot; not ours to replay
-			continue
-		}
-		name, v, isArtifact, ok := parseKey(key)
-		if !ok {
-			rep.Skipped++ // not one of ours (README in the store dir, ...)
-			continue
-		}
-		if !isArtifact {
-			data, err := s.opts.Store.Get(key)
-			if err != nil {
-				return nil, fmt.Errorf("service: warm boot: %w", err)
-			}
-			var rec liveRecord
-			if err := json.Unmarshal(data, &rec); err != nil || rec.Version <= 0 {
-				if err == nil {
-					err = fmt.Errorf("live marker names version %d", rec.Version)
-				}
-				// The marker is damaged but the artifacts may be fine:
-				// quarantine it and fall back to the highest intact
-				// version below.
-				s.quarantine(rep, key, data, err)
-				corruptMarker[name] = true
-				continue
-			}
-			live[name] = rec
-			continue
-		}
-		versions[name] = append(versions[name], v)
-	}
-
-	// Rebuild each entry's version history. Versions that fail to
-	// decode are quarantined and leave holes; a model with no intact
-	// version at all is dropped (reported, not fatal).
-	names := make([]string, 0, len(versions))
-	for name := range versions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	installed := make(map[string]bool)
-	for _, name := range names {
-		vs := versions[name]
-		sort.Ints(vs)
-		maxV := vs[len(vs)-1]
-		e := &entry{name: name, versions: make([]*core.Model, maxV)}
-		for _, v := range vs {
-			key := artifactKey(name, v)
-			data, err := s.opts.Store.Get(key)
-			if err != nil {
-				return nil, fmt.Errorf("service: warm boot: %w", err)
-			}
-			m, err := artifact.Decode(data)
-			if err != nil {
-				s.quarantine(rep, key, data, err)
-				continue
-			}
-			if m.Version != v {
-				s.quarantine(rep, key, data, fmt.Errorf("artifact claims version %d", m.Version))
-				continue
-			}
-			if e.kind == "" {
-				e.task, e.kind = m.Task, m.Name
-			} else if m.Task != e.task || m.Name != e.kind {
-				s.quarantine(rep, key, data, fmt.Errorf("%s/%s does not match entry %s/%s",
-					m.Name, m.Task, e.kind, e.task))
-				continue
-			}
-			e.versions[v-1] = m
-			rep.Loaded++
-		}
-		if e.available() == 0 {
-			rep.detailf("model %q has no intact versions; not registered", name)
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		s.entries[name] = e
-		s.mu.Unlock()
-		installed[name] = true
-	}
-
-	// Restart the recorded live deployments, falling back to the
-	// highest intact version when the recorded one (or the marker
-	// itself) did not survive. A model whose artifacts are all gone is
-	// reported and skipped — a degraded node that serves its intact
-	// models beats a dead one.
-	markerNames := make([]string, 0, len(live)+len(corruptMarker))
-	for name := range live {
-		markerNames = append(markerNames, name)
-	}
-	for name := range corruptMarker {
-		markerNames = append(markerNames, name)
-	}
-	sort.Strings(markerNames)
-	for _, name := range markerNames {
-		if !installed[name] {
-			rep.detailf("live marker for %q but no intact artifacts; deployment lost", name)
-			continue
-		}
-		rec, hasRec := live[name]
-		target, dopts := rec.Version, rec.DeployOptions
-		e, err := s.entry(name)
+	if s.opts.Store != nil {
+		r, err := s.replay()
 		if err != nil {
-			return nil, fmt.Errorf("service: warm boot: %w", err)
+			return nil, err
 		}
-		e.mu.Lock()
-		intact := target >= 1 && target <= len(e.versions) && e.versions[target-1] != nil
-		fallback := e.latest()
-		e.mu.Unlock()
-		if !hasRec {
-			target, dopts = fallback, DeployOptions{}
-			rep.detailf("live marker for %q was damaged; deploying highest intact version v%d", name, target)
-		} else if !intact {
-			rep.detailf("live version v%d of %q is not intact; falling back to v%d", target, name, fallback)
-			target, dopts = fallback, DeployOptions{}
-		} else {
-			// Restoring an intact marker must not mint a new
-			// generation: a rebooting node re-adopts the cluster's
-			// current deployment rather than claiming a newer one. The
-			// Deploy below bumps gen by one, so seed it one below the
-			// marker's and the rewrite is generation-idempotent.
-			// Fallback deploys (the branches above) are genuinely new
-			// local decisions and keep the fresh generation Deploy
-			// assigns.
+		if r.readErr != nil {
+			return nil, fmt.Errorf("service: warm boot: %w", r.readErr)
+		}
+		for i, info := range r.Applied {
+			e, err := s.entry(info.Name)
+			if err != nil {
+				return nil, err
+			}
 			e.mu.Lock()
-			e.gen = rec.Gen - 1
+			s.gcEntryLocked(e) // best effort, as in Deploy
+			r.Applied[i] = e.info(info.Version)
 			e.mu.Unlock()
 		}
-		info, err := s.Deploy(name, target, dopts)
-		if err != nil {
-			// Deploying an intact version should only fail on store
-			// trouble (the live-marker write); leave the model cold and
-			// keep booting.
-			rep.detailf("redeploy %q v%d failed: %v", name, target, err)
-			continue
+		for _, name := range r.unapplied {
+			info, err := s.Deploy(name, 0)
+			if err != nil {
+				r.detailf("fallback deploy of %q failed: %v", name, err)
+				continue
+			}
+			r.detailf("live marker for %q not applied; deployed highest intact version v%d", name, info.Version)
+			r.Applied = append(r.Applied, info)
 		}
-		rep.Deployed = append(rep.Deployed, info)
+		rep = &BootReport{Deployed: r.Applied, Loaded: r.Loaded, Quarantined: r.Quarantined,
+			Skipped: r.skipped, Degraded: len(r.Details) > 0, Details: r.Details}
 	}
 	s.ready.Store(true)
 	s.boot.Store(rep)

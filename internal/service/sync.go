@@ -4,22 +4,23 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/artifact"
 )
 
-// This file is the shared-store control plane: nodes that point at the
-// same store directory converge on one registry state without any RPC
-// between them. Each SyncStore pass re-lists the store, installs
-// artifact versions this node has not seen, and adopts live markers
-// written by other nodes — but only when the marker's generation
-// exceeds the entry's (see entry.gen), so a node's own explicit
-// deploys always win ties. Damage discovered mid-sync gets exactly
-// WarmBoot's quarantine treatment.
+// This file is the store control plane: the one pass that replays the
+// store into the registry. SyncStore is that pass; WarmBoot is the same
+// pass over an empty registry, plus its fallback deploys. Each pass
+// re-lists the store, installs artifact versions this node has not
+// seen, quarantines damage, and applies live markers: an entry with no
+// live pool takes any intact marker, a serving entry only one whose
+// generation exceeds its own (see entry.gen), so a node's own explicit
+// deploys win ties. Nodes that share one store directory converge on
+// one registry state this way, with no RPC between them.
 
 // SyncReport summarizes one SyncStore pass. The zero value means "no
 // change observed".
@@ -54,130 +55,157 @@ func (r *SyncReport) detailf(format string, args ...any) {
 	r.Details = append(r.Details, fmt.Sprintf(format, args...))
 }
 
-// syncQuarantine parks a damaged blob exactly as a warm boot would.
-func (s *Service) syncQuarantine(rep *SyncReport, key string, data []byte, why error) {
-	rep.Quarantined++
-	rep.detailf("quarantined %q: %v", key, why)
-	for _, incident := range quarantineBlob(s.opts.Store, key, data) {
-		rep.detailf("%s", incident)
+// replayResult is one store replay: its SyncReport plus what only
+// WarmBoot acts on.
+type replayResult struct {
+	SyncReport
+	// skipped counts keys that are not ours: foreign files and blobs
+	// an earlier pass quarantined.
+	skipped int
+	// readErr is the first failed read of a listed key, other than a
+	// key that vanished since List (another node pruning retention).
+	readErr error
+	// unapplied lists, in name order, the registered models whose live
+	// marker was damaged or could not be applied.
+	unapplied []string
+}
+
+// get reads one listed key. A key deleted since List reads as absent
+// without comment; any other failure is reported and kept in readErr.
+func (r *replayResult) get(store Store, key string) ([]byte, bool) {
+	data, err := store.Get(key)
+	if err != nil {
+		if !errors.Is(err, ErrNoKey) {
+			r.detailf("read %q: %v", key, err)
+			if r.readErr == nil {
+				r.readErr = err
+			}
+		}
+		return nil, false
+	}
+	return data, true
+}
+
+// quarantine parks a damaged blob under quarantinePrefix, preserved
+// verbatim for forensics and invisible to later passes. Best effort:
+// if the move fails the blob stays put and the next pass retries.
+func (r *replayResult) quarantine(store Store, key string, data []byte, why error) {
+	r.Quarantined++
+	r.detailf("quarantined %q: %v", key, why)
+	if err := store.Put(quarantinePrefix+key, data); err != nil {
+		r.detailf("quarantine move of %q failed, blob left in place: %v", key, err)
+	} else if err := store.Delete(key); err != nil {
+		r.detailf("quarantine delete of original %q failed: %v", key, err)
 	}
 }
 
 // SyncStore performs one convergence pass against the store: it
 // installs artifact versions registered by other nodes (creating
 // registry entries for models this node has never seen), and applies
-// live markers whose generation is newer than the local entry's.
-// Blobs damaged mid-sync are quarantined with WarmBoot's semantics;
-// a marker naming a version this node cannot reconstruct is reported
-// and skipped (the next pass retries). Keys that vanish between List
-// and Get — another node pruning retention — are skipped silently.
+// live markers as the file comment describes. Damaged blobs are
+// quarantined and their versions become permanent holes; a marker
+// naming a version this node cannot reconstruct is reported and
+// skipped (the next pass retries). Keys that vanish between List and
+// Get are skipped silently.
 //
 // A no-op on a storeless service. Safe for concurrent use with every
 // other Service method.
 func (s *Service) SyncStore() (*SyncReport, error) {
-	rep := &SyncReport{}
 	if s.opts.Store == nil {
-		return rep, nil
+		return &SyncReport{}, nil
 	}
+	r, err := s.replay()
+	if err != nil {
+		return nil, err
+	}
+	return &r.SyncReport, nil
+}
+
+// replay is the one pass that turns the store back into registry
+// state. It fails only when the store cannot be listed or the service
+// closes; everything else is reported in the result.
+func (s *Service) replay() (*replayResult, error) {
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
 		return nil, ErrClosed
 	}
-
-	keys, err := s.opts.Store.List()
+	store := s.opts.Store
+	r := &replayResult{}
+	keys, err := store.List()
 	if err != nil {
-		return nil, fmt.Errorf("service: sync: %w", err)
+		return nil, fmt.Errorf("service: list store: %w", err)
 	}
 	versions := make(map[string][]int)
-	live := make(map[string]liveRecord)
+	markers := make(map[string]*liveRecord) // nil: damaged, quarantined
 	for _, key := range keys {
-		if strings.HasPrefix(key, quarantinePrefix) {
-			continue // parked by an earlier boot or sync; not ours
-		}
 		name, v, isArtifact, ok := parseKey(key)
 		if !ok {
-			continue // foreign file in the store directory
+			r.skipped++ // foreign file, or parked under quarantine/
+			continue
 		}
 		if isArtifact {
 			versions[name] = append(versions[name], v)
 			continue
 		}
-		data, err := s.opts.Store.Get(key)
-		if err != nil {
-			if !errors.Is(err, ErrNoKey) {
-				rep.detailf("read live marker %q: %v", key, err)
-			}
+		data, ok := r.get(store, key)
+		if !ok {
 			continue
 		}
-		var rec liveRecord
-		if err := json.Unmarshal(data, &rec); err != nil || rec.Version <= 0 {
+		rec := new(liveRecord)
+		if err := json.Unmarshal(data, rec); err != nil || rec.Version <= 0 {
 			if err == nil {
 				err = fmt.Errorf("live marker names version %d", rec.Version)
 			}
-			s.syncQuarantine(rep, key, data, err)
-			continue
+			r.quarantine(store, key, data, err)
+			rec = nil
 		}
-		live[name] = rec
+		markers[name] = rec
 	}
 
-	// Install artifact versions this node does not hold. Entries for
-	// unseen models are built detached and published only once they
-	// have an intact version, so a model whose artifacts are all
-	// damaged never appears in the registry (WarmBoot's rule).
-	names := make([]string, 0, len(versions))
-	for name := range versions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	// Install the versions this node does not hold. Every listed
+	// version number stays taken, as a hole if it does not load, so
+	// Register never reuses it. Entries for unseen models are built
+	// detached and published only once they hold an intact version.
+	for _, name := range slices.Sorted(maps.Keys(versions)) {
 		vs := versions[name]
-		sort.Ints(vs)
-		s.mu.RLock()
-		closed := s.closed
-		e, known := s.entries[name]
-		s.mu.RUnlock()
-		if closed {
-			return nil, ErrClosed
+		slices.Sort(vs)
+		e, err := s.entry(name)
+		if errors.Is(err, ErrClosed) {
+			return nil, err
 		}
+		known := err == nil
 		if !known {
 			e = &entry{name: name}
 		}
 		e.mu.Lock()
 		for _, v := range vs {
-			if v <= len(e.versions) && e.versions[v-1] != nil {
-				continue // already installed
-			}
-			key := artifactKey(name, v)
-			data, err := s.opts.Store.Get(key)
-			if err != nil {
-				if !errors.Is(err, ErrNoKey) {
-					rep.detailf("read artifact %q: %v", key, err)
-				}
-				continue
-			}
-			m, err := artifact.Decode(data)
-			if err != nil {
-				s.syncQuarantine(rep, key, data, err)
-				continue
-			}
-			if m.Version != v {
-				s.syncQuarantine(rep, key, data, fmt.Errorf("artifact claims version %d", m.Version))
-				continue
-			}
-			if e.kind == "" {
-				e.task, e.kind = m.Task, m.Name
-			} else if m.Task != e.task || m.Name != e.kind {
-				s.syncQuarantine(rep, key, data, fmt.Errorf("%s/%s does not match entry %s/%s",
-					m.Name, m.Task, e.kind, e.task))
-				continue
-			}
 			for len(e.versions) < v {
 				e.versions = append(e.versions, nil)
 			}
+			if e.versions[v-1] != nil {
+				continue // already installed
+			}
+			key := artifactKey(name, v)
+			data, ok := r.get(store, key)
+			if !ok {
+				continue
+			}
+			m, err := artifact.Decode(data)
+			if err == nil && m.Version != v {
+				err = fmt.Errorf("artifact claims version %d", m.Version)
+			}
+			if err == nil && e.kind != "" && (m.Task != e.task || m.Name != e.kind) {
+				err = fmt.Errorf("%s/%s does not match entry %s/%s", m.Name, m.Task, e.kind, e.task)
+			}
+			if err != nil {
+				r.quarantine(store, key, data, err)
+				continue
+			}
+			e.task, e.kind = m.Task, m.Name
 			e.versions[v-1] = m
-			rep.Loaded++
+			r.Loaded++
 		}
 		avail := e.available()
 		e.mu.Unlock()
@@ -185,7 +213,7 @@ func (s *Service) SyncStore() (*SyncReport, error) {
 			continue
 		}
 		if avail == 0 {
-			rep.detailf("model %q has no intact versions; not registered", name)
+			r.detailf("model %q has no intact versions; not registered", name)
 			continue
 		}
 		s.mu.Lock()
@@ -201,65 +229,55 @@ func (s *Service) SyncStore() (*SyncReport, error) {
 		}
 		s.entries[name] = e
 		s.mu.Unlock()
-		rep.NewModels = append(rep.NewModels, name)
+		r.NewModels = append(r.NewModels, name)
 	}
 
-	// Apply live markers newer than our entry's generation. Ties (and
-	// older markers) lose to local state: this node's own deploys set
-	// the generation they persisted, so a marker it merely observes
-	// must strictly exceed it.
-	markerNames := make([]string, 0, len(live))
-	for name := range live {
-		markerNames = append(markerNames, name)
-	}
-	sort.Strings(markerNames)
-	for _, name := range markerNames {
-		rec := live[name]
-		s.mu.RLock()
-		closed := s.closed
-		e, known := s.entries[name]
-		s.mu.RUnlock()
-		if closed {
-			return nil, ErrClosed
+	// Apply the live markers. A marker is applied at its own
+	// generation and is not rewritten.
+	for _, name := range slices.Sorted(maps.Keys(markers)) {
+		rec := markers[name]
+		e, err := s.entry(name)
+		if errors.Is(err, ErrClosed) {
+			return nil, err
 		}
-		if !known {
-			rep.detailf("live marker for %q but no intact artifacts; deployment not applied", name)
+		if err != nil {
+			r.detailf("live marker for %q but no intact artifacts; deployment not applied", name)
+			continue
+		}
+		if rec == nil {
+			r.unapplied = append(r.unapplied, name)
 			continue
 		}
 		e.mu.Lock()
-		if rec.Gen <= e.gen {
-			e.mu.Unlock()
-			continue // local state is as new or newer; local wins ties
-		}
-		if cur := e.live.Load(); cur != nil && cur.version == rec.Version && cur.opts == rec.DeployOptions {
+		cur := e.live.Load()
+		switch {
+		case cur != nil && rec.Gen <= e.gen:
+			// Local state is as new or newer; local wins ties.
+		case cur != nil && cur.version == rec.Version && cur.opts == rec.DeployOptions:
 			// Already serving exactly this deployment (typically our
 			// own marker read back): adopt the generation, skip the
 			// pool churn.
 			e.gen = rec.Gen
-			e.mu.Unlock()
-			continue
-		}
-		if rec.Version > len(e.versions) || e.versions[rec.Version-1] == nil {
-			e.mu.Unlock()
-			rep.detailf("live marker for %q names v%d (gen %d) but the version is not intact here; not applied",
+		case rec.Version > len(e.versions) || e.versions[rec.Version-1] == nil:
+			r.detailf("live marker for %q names v%d (gen %d) but the version is not intact here; not applied",
 				name, rec.Version, rec.Gen)
-			continue
+			r.unapplied = append(r.unapplied, name)
+		default:
+			serveOpts, err := rec.DeployOptions.apply(s.opts.Serve)
+			if err != nil {
+				r.detailf("live marker for %q carries bad deploy options: %v", name, err)
+				r.unapplied = append(r.unapplied, name)
+				break
+			}
+			if err := s.goLiveLocked(e, rec.Version, rec.DeployOptions, serveOpts, rec.Gen, false); err != nil {
+				e.mu.Unlock()
+				return nil, err // only ErrClosed: nothing is persisted
+			}
+			r.Applied = append(r.Applied, e.info(rec.Version))
 		}
-		serveOpts, err := rec.DeployOptions.apply(s.opts.Serve)
-		if err != nil {
-			e.mu.Unlock()
-			rep.detailf("live marker for %q carries bad deploy options: %v", name, err)
-			continue
-		}
-		if err := s.goLiveLocked(e, rec.Version, rec.DeployOptions, serveOpts, rec.Gen, false); err != nil {
-			e.mu.Unlock()
-			return nil, err
-		}
-		info := e.info(rec.Version)
 		e.mu.Unlock()
-		rep.Applied = append(rep.Applied, info)
 	}
-	return rep, nil
+	return r, nil
 }
 
 // WatchStore starts a background goroutine that runs SyncStore every

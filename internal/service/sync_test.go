@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -311,6 +312,54 @@ func TestSyncMarkerGenerationSurvivesReboot(t *testing.T) {
 	}
 }
 
+// TestSyncConcurrentRegisterDeploy runs node B's store watcher flat
+// out while B swaps in versions of one model and node A of another, so
+// the race detector sees the replay next to every registry writer.
+// Version numbers stay dense on B and it ends serving both latest
+// deploys.
+func TestSyncConcurrentRegisterDeploy(t *testing.T) {
+	a, b := newSyncPair(t)
+	m := trainCCNN(t, core.ErrorClassification)
+	stop := b.WatchStore(time.Millisecond, nil)
+	defer stop()
+	const rounds = 8
+	var wg sync.WaitGroup
+	errc := make(chan error, 2)
+	for _, w := range []struct {
+		svc  *Service
+		name string
+	}{{b, "local"}, {a, "remote"}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := w.svc.Swap(w.name, m); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if _, err := b.SyncStore(); err != nil {
+		t.Fatal(err)
+	}
+	models := b.Models()
+	if len(models) != 2 {
+		t.Fatalf("node B models = %+v, want local and remote", models)
+	}
+	for _, info := range models {
+		if info.Versions != rounds || info.Available != rounds || info.LiveVersion != rounds {
+			t.Fatalf("node B %q = %+v, want v%d of %d live", info.Name, info, rounds, rounds)
+		}
+	}
+}
+
 // TestWatchStore: the background watcher converges B onto A's deploy
 // within a few intervals, logs the pass, stops idempotently, and is a
 // no-op without a store.
@@ -379,5 +428,131 @@ func TestWatchStoreExitsOnClose(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("stop() hung after Close")
+	}
+}
+
+// TestWarmBootSyncParity replays each damaged store twice — WarmBoot
+// into an empty service, SyncStore into an empty ready one — and
+// requires the same registry, the same quarantined keys and the same
+// counts. The paths differ only in WarmBoot's fallback deploy for a
+// marker it could not apply. Version numbers a pass could not load
+// stay taken on both paths: the next Register never reuses them.
+func TestWarmBootSyncParity(t *testing.T) {
+	src := New(Options{Serve: serve.Options{Replicas: 1}, Store: NewMemStore()})
+	defer src.Close()
+	if _, err := src.WarmBoot(); err != nil {
+		t.Fatal(err)
+	}
+	m := trainCCNN(t, core.ErrorClassification)
+	for i := 0; i < 2; i++ {
+		if _, err := src.Register("errors", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v1, _ := src.opts.Store.Get(artifactKey("errors", 1))
+	v2, _ := src.opts.Store.Get(artifactKey("errors", 2))
+	garbled := append([]byte(nil), v2...)
+	garbled[len(garbled)/2] ^= 0x20
+	live := liveKey("errors")
+
+	rows := []struct {
+		name  string
+		blobs map[string][]byte
+		// fallback is the version WarmBoot falls back to, where
+		// SyncStore leaves the model cold (0: no fallback).
+		fallback int
+		// next is the version the next Register must mint (0: skip).
+		next int
+	}{
+		{"foreign key", map[string][]byte{artifactKey("errors", 1): v1, "README": []byte("not ours")}, 0, 2},
+		{"corrupt artifact", map[string][]byte{artifactKey("errors", 1): garbled, artifactKey("errors", 2): v2}, 0, 3},
+		{"corrupt top version", map[string][]byte{artifactKey("errors", 1): v1, artifactKey("errors", 2): garbled}, 0, 3},
+		{"version hole", map[string][]byte{artifactKey("errors", 2): v2}, 0, 3},
+		{"orphan marker", map[string][]byte{live: []byte(`{"version":1,"gen":4}`)}, 0, 0},
+		{"garbage marker", map[string][]byte{artifactKey("errors", 1): v1, artifactKey("errors", 2): v2, live: []byte("{not json")}, 2, 0},
+		{"marker names quarantined version", map[string][]byte{artifactKey("errors", 1): v1, artifactKey("errors", 2): garbled, live: []byte(`{"version":2,"gen":3}`)}, 1, 0},
+		{"gen-less marker", map[string][]byte{artifactKey("errors", 1): v1, artifactKey("errors", 2): v2, live: []byte(`{"version":1}`)}, 0, 0},
+	}
+	fill := func(st Store, blobs map[string][]byte) {
+		for k, v := range blobs {
+			if err := st.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	quarantined := func(st Store) []string {
+		keys, err := st.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, k := range keys {
+			if strings.HasPrefix(k, quarantinePrefix) {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			bootStore := NewMemStore()
+			fill(bootStore, row.blobs)
+			boot := New(Options{Serve: serve.Options{Replicas: 1}, Store: bootStore})
+			defer boot.Close()
+			brep, err := boot.WarmBoot()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			syncStore := NewMemStore()
+			syncer := New(Options{Serve: serve.Options{Replicas: 1}, Store: syncStore})
+			defer syncer.Close()
+			if _, err := syncer.WarmBoot(); err != nil {
+				t.Fatal(err)
+			}
+			fill(syncStore, row.blobs)
+			srep, err := syncer.SyncStore()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if brep.Loaded != srep.Loaded || brep.Quarantined != srep.Quarantined {
+				t.Fatalf("boot loaded/quarantined %d/%d, sync %d/%d",
+					brep.Loaded, brep.Quarantined, srep.Loaded, srep.Quarantined)
+			}
+			if bq, sq := quarantined(bootStore), quarantined(syncStore); strings.Join(bq, ",") != strings.Join(sq, ",") {
+				t.Fatalf("quarantine keys: boot %v, sync %v", bq, sq)
+			}
+			bm, sm := boot.Models(), syncer.Models()
+			if len(bm) != len(sm) {
+				t.Fatalf("models: boot %+v, sync %+v", bm, sm)
+			}
+			for i := range bm {
+				b, s := bm[i], sm[i]
+				if b.Name != s.Name || b.Versions != s.Versions || b.Available != s.Available {
+					t.Fatalf("model: boot %+v, sync %+v", b, s)
+				}
+				switch {
+				case row.fallback == 0 && b.LiveVersion != s.LiveVersion:
+					t.Fatalf("live version: boot v%d, sync v%d", b.LiveVersion, s.LiveVersion)
+				case row.fallback != 0 && (b.LiveVersion != row.fallback || s.LiveVersion != 0):
+					t.Fatalf("fallback: boot serves v%d, sync v%d; want v%d and cold",
+						b.LiveVersion, s.LiveVersion, row.fallback)
+				}
+			}
+			if row.next == 0 {
+				return
+			}
+			for label, svc := range map[string]*Service{"boot": boot, "sync": syncer} {
+				info, err := svc.Register("errors", m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Version != row.next {
+					t.Fatalf("%s: next Register minted v%d, want v%d (version numbers are never reused)",
+						label, info.Version, row.next)
+				}
+			}
+		})
 	}
 }
